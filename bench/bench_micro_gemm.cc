@@ -73,15 +73,39 @@ double MedianSecondsPerCall(std::size_t runs, std::size_t reps, Fn&& fn) {
 struct GemmCase {
   const char* label;  // which layer/pass this shape stands in for
   std::size_t m, n, k;
+  tensor::Op op_a = tensor::Op::kNone;
+  tensor::Op op_b = tensor::Op::kNone;
 };
 
-// LeNet-surrogate working set (batch 64) plus a square reference point.
-// 64×120×400 is the acceptance shape from ISSUE 3.
+constexpr tensor::Op kN = tensor::Op::kNone;
+constexpr tensor::Op kT = tensor::Op::kTranspose;
+
+// The products the simulator runs. Conv2d (3x3, padding 1) lowers each pass
+// to one GEMM over the whole batch, with P = C·9 patch rows and N·Ho·Wo
+// columns: forward (out × P × cols), dW (out × P, reduced over cols, B
+// transposed) and dcols (P × cols, reduced over out, A transposed).
+// LeNet runs at 12 px with batch 32, VGG at 8 px with batch 64. The fc
+// cases are an MLP head at batch 64 (64×120×400 is the shape the blocked
+// kernel's ≥ 3× target is set at), plus a square reference point.
 const GemmCase kCases[] = {
     {"fc1_forward_64x120x400", 64, 120, 400},
     {"fc1_dgrad_64x400x120", 64, 400, 120},
     {"fc1_wgrad_120x400x64", 120, 400, 64},
-    {"conv2_forward_12x9216x150", 12, 9216, 150},
+    {"lenet_conv1_fwd_6x4608x9", 6, 4608, 9},
+    {"lenet_conv1_dw_6x9x4608", 6, 9, 4608, kN, kT},
+    {"lenet_conv1_dcols_9x4608x6", 9, 4608, 6, kT, kN},
+    {"lenet_conv2_fwd_12x1152x54", 12, 1152, 54},
+    {"lenet_conv2_dw_12x54x1152", 12, 54, 1152, kN, kT},
+    {"lenet_conv2_dcols_54x1152x12", 54, 1152, 12, kT, kN},
+    {"vgg_conv1_fwd_6x4096x27", 6, 4096, 27},
+    {"vgg_conv1_dw_6x27x4096", 6, 27, 4096, kN, kT},
+    {"vgg_conv1_dcols_27x4096x6", 27, 4096, 6, kT, kN},
+    {"vgg_conv2_fwd_6x4096x54", 6, 4096, 54},
+    {"vgg_conv2_dw_6x54x4096", 6, 54, 4096, kN, kT},
+    {"vgg_conv2_dcols_54x4096x6", 54, 4096, 6, kT, kN},
+    {"vgg_conv3_fwd_12x1024x54", 12, 1024, 54},
+    {"vgg_conv3_dw_12x54x1024", 12, 54, 1024, kN, kT},
+    {"vgg_conv3_dcols_54x1024x12", 54, 1024, 12, kT, kN},
     {"square_256", 256, 256, 256},
 };
 
@@ -114,6 +138,8 @@ double Gflops(const GemmCase& s, double sec) {
              : 0.0;
 }
 
+// The seed loop only multiplies untransposed operands, so it runs on
+// op-applied copies of A and B; the blocked GEMM reads them as stored.
 GemmResult BenchGemm(const GemmCase& shape, bool smoke,
                      util::ThreadPool& pool, std::mt19937_64& rng) {
   std::normal_distribution<float> dist(0.0f, 1.0f);
@@ -125,6 +151,24 @@ GemmResult BenchGemm(const GemmCase& shape, bool smoke,
   for (float& x : b) {
     x = dist(rng);
   }
+  // Stored forms: A is m×k (k×m when transposed), B is k×n (n×k).
+  auto stored = [](const std::vector<float>& logical, std::size_t rows,
+                   std::size_t cols, tensor::Op op) {
+    if (op == tensor::Op::kNone) {
+      return logical;
+    }
+    std::vector<float> t(logical.size());
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        t[j * rows + i] = logical[i * cols + j];
+      }
+    }
+    return t;
+  };
+  const std::vector<float> as = stored(a, shape.m, shape.k, shape.op_a);
+  const std::vector<float> bs = stored(b, shape.k, shape.n, shape.op_b);
+  const std::size_t lda = shape.op_a == tensor::Op::kNone ? shape.k : shape.m;
+  const std::size_t ldb = shape.op_b == tensor::Op::kNone ? shape.n : shape.k;
 
   // Size repetitions so each measured run lasts long enough to time
   // reliably (~60ms full, ~6ms smoke) without letting big shapes crawl.
@@ -143,18 +187,16 @@ GemmResult BenchGemm(const GemmCase& shape, bool smoke,
   result.seed_sec = MedianSecondsPerCall(runs, reps_for(warm_sec), [&] {
     SeedMatMul(a.data(), b.data(), c.data(), shape.m, shape.n, shape.k);
   });
+  auto blocked = [&](util::ThreadPool* p) {
+    tensor::Sgemm(shape.op_a, shape.op_b, shape.m, shape.n, shape.k,
+                  as.data(), lda, bs.data(), ldb, c.data(), shape.n, nullptr,
+                  0.0f, p);
+  };
   const double est_blocked = warm_sec / 4.0;  // reps guess; self-corrects fast
-  result.blocked_sec = MedianSecondsPerCall(runs, reps_for(est_blocked), [&] {
-    tensor::Sgemm(tensor::Op::kNone, tensor::Op::kNone, shape.m, shape.n,
-                  shape.k, a.data(), shape.k, b.data(), shape.n, c.data(),
-                  shape.n);
-  });
-  result.blocked_mt_sec =
-      MedianSecondsPerCall(runs, reps_for(result.blocked_sec), [&] {
-        tensor::Sgemm(tensor::Op::kNone, tensor::Op::kNone, shape.m, shape.n,
-                      shape.k, a.data(), shape.k, b.data(), shape.n, c.data(),
-                      shape.n, nullptr, 0.0f, &pool);
-      });
+  result.blocked_sec = MedianSecondsPerCall(runs, reps_for(est_blocked),
+                                            [&] { blocked(nullptr); });
+  result.blocked_mt_sec = MedianSecondsPerCall(
+      runs, reps_for(result.blocked_sec), [&] { blocked(&pool); });
   std::printf(
       "  %-28s seed %8.2f ms (%6.2f GF/s)  blocked %8.2f ms (%6.2f GF/s)  "
       "x%-5.1f  mt %8.2f ms (x%.1f)\n",
@@ -288,6 +330,8 @@ int main(int argc, char** argv) {
     json.Key("m").UInt(r.shape.m);
     json.Key("n").UInt(r.shape.n);
     json.Key("k").UInt(r.shape.k);
+    json.Key("op_a").String(r.shape.op_a == kT ? "T" : "N");
+    json.Key("op_b").String(r.shape.op_b == kT ? "T" : "N");
     json.Key("seed_ms").Number(r.seed_sec * 1e3);
     json.Key("blocked_ms").Number(r.blocked_sec * 1e3);
     json.Key("blocked_mt_ms").Number(r.blocked_mt_sec * 1e3);

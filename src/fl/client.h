@@ -47,10 +47,13 @@ class Client {
   std::unique_ptr<nn::Sequential> model_;
 };
 
-// Server-side accuracy evaluation of flat parameters on a dataset.
+// Server-side accuracy evaluation of flat parameters on a dataset. The
+// result does not depend on batch_size (each sample's logits are computed
+// independently of the rest of its batch); the default keeps the Conv2d
+// im2col arenas small enough to stay in L2.
 double EvaluateAccuracy(const nn::ModelSpec& spec, nn::Sequential& model,
                         std::span<const float> params,
                         const data::Dataset& dataset,
-                        std::size_t batch_size = 256);
+                        std::size_t batch_size = 32);
 
 }  // namespace fl

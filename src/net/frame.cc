@@ -13,8 +13,9 @@ namespace {
 
 template <typename T>
 void AppendRaw(std::vector<std::uint8_t>& out, const T& value) {
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-  out.insert(out.end(), bytes, bytes + sizeof(T));
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &value, sizeof(T));
 }
 
 // Reads sizeof(T) bytes at `*offset`, advancing it; checks bounds first.

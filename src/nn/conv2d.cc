@@ -137,7 +137,7 @@ tensor::Tensor Conv2d::Forward(const tensor::Tensor& input) {
   const std::size_t howo = ho * wo;
   const std::size_t ld = batch * howo;
 
-  cached_input_ = input;
+  input_shape_ = input.shape();
 
   // Whole-batch im2col into the reused arena: sample n owns columns
   // [n·howo, (n+1)·howo) of the (patch × N·Ho·Wo) matrix.
@@ -176,9 +176,10 @@ tensor::Tensor Conv2d::Forward(const tensor::Tensor& input) {
 
 tensor::Tensor Conv2d::Backward(const tensor::Tensor& grad_output) {
   AF_CHECK_EQ(grad_output.rank(), 4u);
-  const std::size_t batch = cached_input_.dim(0);
-  const std::size_t h = cached_input_.dim(2);
-  const std::size_t w = cached_input_.dim(3);
+  AF_CHECK_EQ(input_shape_.size(), 4u) << "Backward before Forward";
+  const std::size_t batch = input_shape_[0];
+  const std::size_t h = input_shape_[2];
+  const std::size_t w = input_shape_[3];
   const std::size_t ho = h + 2 * padding_ - kernel_ + 1;
   const std::size_t wo = w + 2 * padding_ - kernel_ + 1;
   const std::size_t patch = in_channels_ * kernel_ * kernel_;
@@ -212,9 +213,8 @@ tensor::Tensor Conv2d::Backward(const tensor::Tensor& grad_output) {
     grad_bias_[oc] += static_cast<float>(gb);
   }
 
-  // cols_ still holds im2col(cached_input_) from the forward pass — the
-  // arena doubles as the cached patch matrix, so backward re-runs no im2col.
-  AF_CHECK_GE(cols_.size(), patch * ld) << "Backward before Forward";
+  // cols_ still holds the forward pass's im2col of the input — the arena
+  // doubles as the cached patch matrix, so backward re-runs no im2col.
 
   // dW (out × patch) += gout_flat · colsᵀ, accumulated in place.
   tensor::Sgemm(tensor::Op::kNone, tensor::Op::kTranspose, out_channels_,
@@ -231,7 +231,7 @@ tensor::Tensor Conv2d::Backward(const tensor::Tensor& grad_output) {
                 ld, dcols_.data(), ld, nullptr, 0.0f, tensor::ComputePool());
 
   // dX: scatter the patch gradients back per sample (disjoint images).
-  tensor::Tensor grad_input(cached_input_.shape());
+  tensor::Tensor grad_input(input_shape_);
   ForEachSample(batch, [&](std::size_t n) {
     Col2ImSample(dcols_.data() + n * howo, ld, n, h, w, grad_input);
   });

@@ -60,9 +60,11 @@ class Conv2d : public Layer {
   tensor::Tensor bias_;         // (out)
   tensor::Tensor grad_weight_;
   tensor::Tensor grad_bias_;
-  tensor::Tensor cached_input_;  // (N, C, H, W)
+  tensor::Shape input_shape_;   // (N, C, H, W) of the last Forward
 
-  // Reused arenas (see the class comment for the memory bound).
+  // Reused arenas (see the class comment for the memory bound). cols_
+  // doubles as the backward cache: it holds everything dW needs, so the
+  // layer keeps only the input's shape, not a copy of the input.
   std::vector<float> cols_;      // (patch, N·Ho·Wo) im2col of the input
   std::vector<float> dcols_;     // (patch, N·Ho·Wo) patch gradients
   std::vector<float> out_flat_;  // (out, N·Ho·Wo) channel-major activations

@@ -1,5 +1,13 @@
-// 2×2-style max pooling with stride equal to the window size.
+// Max pooling with stride equal to the window size.
+//
+// Each window is scanned row-major with a strict `>` from −inf, so ties go
+// to the first element scanned and NaN never wins. Forward keeps the
+// winner's in-window offset (di·window + dj) as one byte; a window with no
+// element above −inf (all −inf or NaN) keeps offset 0, its first element.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "nn/layer.h"
 
@@ -7,6 +15,7 @@ namespace nn {
 
 class MaxPool2d : public Layer {
  public:
+  // window·window must fit the one-byte offset (window <= 16).
   explicit MaxPool2d(std::size_t window);
 
   tensor::Tensor Forward(const tensor::Tensor& input) override;
@@ -16,7 +25,7 @@ class MaxPool2d : public Layer {
  private:
   std::size_t window_;
   tensor::Shape cached_shape_;
-  std::vector<std::size_t> argmax_;  // flat input index of each output max
+  std::vector<std::uint8_t> argmax_;  // in-window offset of each output max
 };
 
 }  // namespace nn

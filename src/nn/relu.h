@@ -1,5 +1,13 @@
 // Elementwise ReLU.
+//
+// Forward writes the output and a 1-byte keep-mask in one branch-free pass;
+// backward is one branch-free select over the mask. Edge semantics: the
+// output is x < 0 ? 0 : x, so NaN and −0.0 pass through unchanged; the
+// gradient flows where !(x <= 0), so NaN passes it and ±0.0 blocks it.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "nn/layer.h"
 
@@ -12,7 +20,7 @@ class ReLU : public Layer {
   std::string Name() const override { return "ReLU"; }
 
  private:
-  tensor::Tensor cached_input_;
+  std::vector<std::uint8_t> keep_;  // 1 where the gradient flows
 };
 
 }  // namespace nn

@@ -12,18 +12,18 @@ Sequential& Sequential::Add(std::unique_ptr<Layer> layer) {
 
 tensor::Tensor Sequential::Forward(const tensor::Tensor& input) {
   AF_CHECK(!layers_.empty());
-  tensor::Tensor activation = input;
-  for (auto& layer : layers_) {
-    activation = layer->Forward(activation);
+  tensor::Tensor activation = layers_.front()->Forward(input);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    activation = layers_[i]->Forward(activation);
   }
   return activation;
 }
 
 tensor::Tensor Sequential::Backward(const tensor::Tensor& grad_output) {
   AF_CHECK(!layers_.empty());
-  tensor::Tensor grad = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->Backward(grad);
+  tensor::Tensor grad = layers_.back()->Backward(grad_output);
+  for (std::size_t i = layers_.size() - 1; i-- > 0;) {
+    grad = layers_[i]->Backward(grad);
   }
   return grad;
 }

@@ -21,7 +21,7 @@ using kernels::kNr;
 // multiple of kMr and NC a multiple of kNr so only the final micro-tile of
 // a block is ragged.
 constexpr std::size_t kMc = 96;
-constexpr std::size_t kKc = 256;
+constexpr std::size_t kKc = kGemmKc;
 constexpr std::size_t kNc = 2048;
 
 std::atomic<util::ThreadPool*> g_compute_pool{nullptr};
@@ -127,23 +127,33 @@ void Sgemm(Op op_a, Op op_b, std::size_t m, std::size_t n, std::size_t k,
   counters.flops.Increment(2ull * m * n * k);
   std::uint64_t bytes_packed = 0;
 
+  // Pack-free B: without a transpose and with a single K block, the B panel
+  // would be read once per kMr-row panel of A straight after packing it, so
+  // full kNr-column slivers are read in place (row stride ldb) instead. Only
+  // a ragged last sliver still needs the zero-padded packed copy.
+  const bool direct_b = op_b == Op::kNone && k <= kKc;
+
   // Packed-B panel for the current (jc, pc) block, shared read-only by all
   // row-tile tasks. thread_local so repeated calls reuse the allocation.
   thread_local std::vector<float> tl_bpanel;
 
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t nc = std::min(kNc, n - jc);
-    const std::size_t nc_padded = RoundUp(nc, kNr);
+    // Columns [0, in_place) of this block are read from B directly; the
+    // rest are packed.
+    const std::size_t in_place = direct_b ? nc / kNr * kNr : 0;
+    const std::size_t packed_padded = RoundUp(nc - in_place, kNr);
     for (std::size_t pc = 0; pc < k; pc += kKc) {
       const std::size_t kc = std::min(kKc, k - pc);
-      if (tl_bpanel.size() < kc * nc_padded) {
-        tl_bpanel.resize(kc * nc_padded);
+      if (tl_bpanel.size() < kc * packed_padded) {
+        tl_bpanel.resize(kc * packed_padded);
       }
-      PackB(op_b, b, ldb, pc, kc, jc, nc, tl_bpanel.data());
-      bytes_packed += kc * nc_padded * sizeof(float);
+      PackB(op_b, b, ldb, pc, kc, jc + in_place, nc - in_place,
+            tl_bpanel.data());
+      bytes_packed += kc * packed_padded * sizeof(float);
       const float* bpanel = tl_bpanel.data();
 
-      const bool first_block = pc == 0;
+      const bool overwrite = pc == 0 && !accumulate;
       const std::size_t tiles = (m + kMc - 1) / kMc;
       auto tile_body = [&](std::size_t t) {
         const std::size_t ic = t * kMc;
@@ -159,13 +169,22 @@ void Sgemm(Op op_a, Op op_b, std::size_t m, std::size_t n, std::size_t k,
         float acc[kMr * kNr];
         for (std::size_t jr = 0; jr < nc; jr += kNr) {
           const std::size_t nr = std::min(kNr, nc - jr);
-          const float* bsliver = bpanel + (jr / kNr) * kc * kNr;
+          const bool b_in_place = jr < in_place;
+          const float* bsliver =
+              b_in_place ? b + pc * ldb + jc + jr
+                         : bpanel + ((jr - in_place) / kNr) * kc * kNr;
+          const std::size_t bstride = b_in_place ? ldb : kNr;
           for (std::size_t ir = 0; ir < mc; ir += kMr) {
             const std::size_t mr = std::min(kMr, mc - ir);
-            kernels::MicroKernel(kc, apanel + (ir / kMr) * kc * kMr, bsliver,
-                                 acc);
+            const float* asliver = apanel + (ir / kMr) * kc * kMr;
             float* ctile = c + (ic + ir) * ldc + jc + jr;
-            if (first_block && !accumulate) {
+            if (overwrite && bias == nullptr && mr == kMr && nr == kNr) {
+              // Full tile, nothing to add: the kernel stores straight to C.
+              kernels::MicroKernel(kc, asliver, bsliver, bstride, ctile, ldc);
+              continue;
+            }
+            kernels::MicroKernel(kc, asliver, bsliver, bstride, acc, kNr);
+            if (overwrite) {
               if (bias != nullptr) {
                 const float* brow = bias + jc + jr;
                 for (std::size_t r = 0; r < mr; ++r) {

@@ -6,13 +6,20 @@
 // A/B panels into contiguous micro-panels (zero-padded to the kMr×kNr
 // micro-tile), and calls the kernels::MicroKernel for every tile. The
 // packed layout makes one micro-kernel serve all four transpose variants.
+// Direct path: when op_b == kNone and K fits one block (k <= kGemmKc), full
+// kNr-column slivers of B are read in place and only a ragged last sliver
+// is packed; full micro-tiles that overwrite C without a bias are stored
+// by the kernel straight into C instead of through a scratch tile.
 //
 // Determinism contract: for fixed inputs the output is bit-identical across
-// runs and across thread counts. Each C element is owned by exactly one
-// row-tile task, the K dimension is reduced strictly in ascending block
-// order (the pc loop is sequential, outside the parallel fan-out), and the
-// micro-kernel accumulates ascending in k. Parallelism only distributes
-// disjoint row tiles. The scalar and AVX2 micro-kernels may differ in final
+// runs, across thread counts, and between the packed and direct paths.
+// Each C element is owned by exactly one row-tile task, the K dimension is
+// reduced strictly in ascending block order (the pc loop is sequential,
+// outside the parallel fan-out), and the micro-kernel accumulates ascending
+// in k whatever strides it reads B and writes C with. Parallelism only
+// distributes disjoint row tiles. Each C element also depends only on its
+// own row of op_a(A) and column of op_b(B), never on m or n, so a row of
+// results does not change with the batch it is computed in. The scalar and AVX2 micro-kernels may differ in final
 // ulps (FMA); the ISA is fixed per process (kernels::ActiveIsa), so this
 // never varies within or across runs on one machine.
 #pragma once
@@ -29,6 +36,10 @@ class ThreadPool;
 namespace tensor {
 
 enum class Op : std::uint8_t { kNone, kTranspose };
+
+// Reduction block: K is reduced in blocks of this many, in ascending order
+// (the first block overwrites or biases C, later blocks add to it).
+inline constexpr std::size_t kGemmKc = 256;
 
 // C = op_a(A) · op_b(B) [+ bias] [+ beta·C], raw-pointer form.
 //

@@ -334,10 +334,10 @@ void SumRowsAccum(const float* m, std::size_t rows, std::size_t cols,
 namespace {
 
 void MicroKernelScalar(std::size_t kc, const float* ap, const float* bp,
-                       float* acc) {
+                       std::size_t ldb, float* out, std::size_t ldc) {
   float c[kMr * kNr] = {};
   for (std::size_t p = 0; p < kc; ++p) {
-    const float* brow = bp + p * kNr;
+    const float* brow = bp + p * ldb;
     const float* acol = ap + p * kMr;
     for (std::size_t r = 0; r < kMr; ++r) {
       const float a = acol[r];
@@ -347,15 +347,16 @@ void MicroKernelScalar(std::size_t kc, const float* ap, const float* bp,
       }
     }
   }
-  std::memcpy(acc, c, sizeof(c));
+  for (std::size_t r = 0; r < kMr; ++r) {
+    std::memcpy(out + r * ldc, c + r * kNr, kNr * sizeof(float));
+  }
 }
 
 #if AF_KERNELS_X86
 
-__attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
-                                                         const float* ap,
-                                                         const float* bp,
-                                                         float* acc) {
+__attribute__((target("avx2,fma"))) void MicroKernelAvx2(
+    std::size_t kc, const float* ap, const float* bp, std::size_t ldb,
+    float* c, std::size_t ldc) {
   __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
   __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
   __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
@@ -363,8 +364,8 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
   __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
   __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kNr + 8);
+    const __m256 b0 = _mm256_loadu_ps(bp + p * ldb);
+    const __m256 b1 = _mm256_loadu_ps(bp + p * ldb + 8);
     const float* acol = ap + p * kMr;
     __m256 a;
     a = _mm256_broadcast_ss(acol + 0);
@@ -386,18 +387,18 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
     c50 = _mm256_fmadd_ps(a, b0, c50);
     c51 = _mm256_fmadd_ps(a, b1, c51);
   }
-  _mm256_storeu_ps(acc + 0 * kNr, c00);
-  _mm256_storeu_ps(acc + 0 * kNr + 8, c01);
-  _mm256_storeu_ps(acc + 1 * kNr, c10);
-  _mm256_storeu_ps(acc + 1 * kNr + 8, c11);
-  _mm256_storeu_ps(acc + 2 * kNr, c20);
-  _mm256_storeu_ps(acc + 2 * kNr + 8, c21);
-  _mm256_storeu_ps(acc + 3 * kNr, c30);
-  _mm256_storeu_ps(acc + 3 * kNr + 8, c31);
-  _mm256_storeu_ps(acc + 4 * kNr, c40);
-  _mm256_storeu_ps(acc + 4 * kNr + 8, c41);
-  _mm256_storeu_ps(acc + 5 * kNr, c50);
-  _mm256_storeu_ps(acc + 5 * kNr + 8, c51);
+  _mm256_storeu_ps(c + 0 * ldc, c00);
+  _mm256_storeu_ps(c + 0 * ldc + 8, c01);
+  _mm256_storeu_ps(c + 1 * ldc, c10);
+  _mm256_storeu_ps(c + 1 * ldc + 8, c11);
+  _mm256_storeu_ps(c + 2 * ldc, c20);
+  _mm256_storeu_ps(c + 2 * ldc + 8, c21);
+  _mm256_storeu_ps(c + 3 * ldc, c30);
+  _mm256_storeu_ps(c + 3 * ldc + 8, c31);
+  _mm256_storeu_ps(c + 4 * ldc, c40);
+  _mm256_storeu_ps(c + 4 * ldc + 8, c41);
+  _mm256_storeu_ps(c + 5 * ldc, c50);
+  _mm256_storeu_ps(c + 5 * ldc + 8, c51);
 }
 
 #endif  // AF_KERNELS_X86
@@ -405,14 +406,14 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
 }  // namespace
 
 void MicroKernel(std::size_t kc, const float* ap, const float* bp,
-                 float* acc) {
+                 std::size_t ldb, float* c, std::size_t ldc) {
 #if AF_KERNELS_X86
   if (ActiveIsa() == Isa::kAvx2) {
-    MicroKernelAvx2(kc, ap, bp, acc);
+    MicroKernelAvx2(kc, ap, bp, ldb, c, ldc);
     return;
   }
 #endif
-  MicroKernelScalar(kc, ap, bp, acc);
+  MicroKernelScalar(kc, ap, bp, ldb, c, ldc);
 }
 
 }  // namespace tensor::kernels

@@ -77,10 +77,14 @@ void SumRowsAccum(const float* m, std::size_t rows, std::size_t cols,
 inline constexpr std::size_t kMr = 6;
 inline constexpr std::size_t kNr = 16;
 
-// acc (kMr × kNr, row-major, overwritten) = sum over p in [0, kc) of
-// ap[p*kMr + r] * bp[p*kNr + j]. `ap` is a packed A micro-panel (column of
-// kMr rows, k-major), `bp` a packed B micro-panel (row of kNr columns,
-// k-major). Accumulation order over p is ascending on every path.
-void MicroKernel(std::size_t kc, const float* ap, const float* bp, float* acc);
+// c[r*ldc + j] (kMr × kNr, overwritten) = sum over p in [0, kc) of
+// ap[p*kMr + r] * bp[p*ldb + j]. `ap` is a packed A micro-panel (column of
+// kMr rows, k-major). `bp` is either a packed B sliver (ldb == kNr) or kNr
+// columns of B read in place (ldb = B's row stride). `c` is either a
+// kMr × kNr scratch tile (ldc == kNr) or a full tile of C. Accumulation
+// order over p is ascending on every path, so the values written do not
+// depend on ldb or ldc.
+void MicroKernel(std::size_t kc, const float* ap, const float* bp,
+                 std::size_t ldb, float* c, std::size_t ldc);
 
 }  // namespace tensor::kernels

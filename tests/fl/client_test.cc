@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "data/synthetic.h"
+#include "fl/experiment.h"
 #include "stats/vec_ops.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -110,6 +112,62 @@ TEST_F(ClientTest, EvaluateAccuracyBoundsAndDeterminism) {
   EXPECT_GE(acc1, 0.0);
   EXPECT_LE(acc1, 1.0);
   EXPECT_DOUBLE_EQ(acc1, acc2);
+}
+
+// Each sample's logits are computed independently of the rest of its batch
+// (every GEMM output element reads only its own row and column), so the
+// eval batch size is a pure speed knob. Checked on both conv models, with
+// lightly trained parameters so predictions are not all one class.
+TEST(EvaluateAccuracyTest, IndependentOfBatchSize) {
+  struct Case {
+    data::Profile profile;
+    std::size_t side;
+  };
+  for (const Case& c : {Case{data::Profile::kFashionMnist, 12},
+                        Case{data::Profile::kCifar10, 8}}) {
+    data::SyntheticGenerator gen(data::MakeProfileSpec(c.profile, c.side), 5);
+    const data::Dataset train = gen.Generate(96, "train");
+    const data::Dataset test = gen.Generate(300, "test");
+    const nn::ModelSpec spec = ModelForProfile(c.profile, c.side);
+    std::vector<std::size_t> partition(train.size());
+    std::iota(partition.begin(), partition.end(), 0u);
+    Client client(0, &train, partition, spec, 1);
+    std::vector<float> params = spec.factory(1)->GetFlatParams();
+    LocalTrainConfig config;
+    config.epochs = 1;
+    auto rng = util::RngFactory(2).Stream("train");
+    const std::vector<float> delta = client.TrainOnce(params, config, rng);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      params[i] += delta[i];
+    }
+
+    auto model = spec.factory(1);
+    const double reference = EvaluateAccuracy(spec, *model, params, test, 1);
+    EXPECT_GT(reference, 0.0);
+    for (std::size_t batch : {7u, 32u, 256u}) {
+      EXPECT_EQ(EvaluateAccuracy(spec, *model, params, test, batch), reference)
+          << spec.name << " batch " << batch;
+    }
+    EXPECT_EQ(EvaluateAccuracy(spec, *model, params, test), reference)
+        << spec.name << " default batch";
+
+    // Stronger: the logits themselves are bit-identical.
+    std::vector<std::size_t> all(test.size());
+    std::iota(all.begin(), all.end(), 0u);
+    const tensor::Tensor batched =
+        model->Forward(data::MakeBatch(test, all).features);
+    const std::size_t classes = spec.num_classes;
+    for (std::size_t i = 0; i < test.size(); i += 37) {
+      const std::size_t one[] = {i};
+      const tensor::Tensor single =
+          model->Forward(data::MakeBatch(test, one).features);
+      ASSERT_EQ(std::memcmp(single.data().data(),
+                            batched.data().data() + i * classes,
+                            classes * sizeof(float)),
+                0)
+          << spec.name << " sample " << i;
+    }
+  }
 }
 
 }  // namespace

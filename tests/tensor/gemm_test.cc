@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "tensor/kernels.h"
@@ -208,6 +210,176 @@ TEST(GemmTest, RecordsObsCounters) {
   EXPECT_EQ(reg.GetCounter("gemm.flops").Value(),
             flops_before + 2ull * 8 * 5 * 12);
   EXPECT_GT(reg.GetCounter("gemm.bytes_packed").Value(), 0u);
+}
+
+// Bit-exact model of the blocked driver: each C element accumulates its
+// products in ascending k, in float, from +0 (fused on the AVX2 path), one
+// kGemmKc block at a time; the first block overwrites C (plus bias) unless
+// beta != 0, and later blocks add to C.
+Tensor BitwiseReference(Op op_a, Op op_b, const Tensor& a, const Tensor& b,
+                        const Tensor& c_in, const float* bias, float beta,
+                        bool fused) {
+  Tensor c = c_in;
+  const std::size_t m = c.dim(0), n = c.dim(1);
+  const std::size_t k = op_a == Op::kNone ? a.dim(1) : a.dim(0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t pc = 0; pc < k; pc += kGemmKc) {
+        float acc = 0.0f;
+        for (std::size_t p = pc; p < std::min(k, pc + kGemmKc); ++p) {
+          const float x = LogicalAt(a, op_a, i, p);
+          const float y = LogicalAt(b, op_b, p, j);
+          if (fused) {
+            acc = std::fma(x, y, acc);
+          } else {
+            const float prod = x * y;
+            acc = acc + prod;
+          }
+        }
+        if (pc == 0 && beta == 0.0f) {
+          c.At(i, j) = bias != nullptr ? acc + bias[j] : acc;
+        } else {
+          c.At(i, j) += acc;
+        }
+      }
+    }
+  }
+  return c;
+}
+
+bool BitwiseEqual(const Tensor& x, const Tensor& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data().data(), y.data().data(),
+                     x.size() * sizeof(float)) == 0;
+}
+
+// Row-major copy of the transpose.
+Tensor Transposed(const Tensor& t) {
+  Tensor out({t.dim(1), t.dim(0)});
+  for (std::size_t i = 0; i < t.dim(0); ++i) {
+    for (std::size_t j = 0; j < t.dim(1); ++j) {
+      out.At(j, i) = t.At(i, j);
+    }
+  }
+  return out;
+}
+
+std::vector<kernels::Isa> AvailableIsas() {
+  std::vector<kernels::Isa> isas{kernels::Isa::kScalar};
+  if (kernels::Avx2Available()) {
+    isas.push_back(kernels::Isa::kAvx2);
+  }
+  return isas;
+}
+
+// Shapes for the bitwise tests: full kMr×kNr tiles, ragged rows and
+// columns, full slivers followed by a ragged one, an NC block edge, and k on
+// both sides of the single-K-block limit of the direct path.
+const GemmShape kBitwiseShapes[] = {
+    {12, 32, 9},   {7, 21, 9},    {6, 40, 27},  {13, 48, 256},
+    {5, 35, 257},  {12, 16, 600}, {6, 2100, 9}, {9, 4608, 6},
+};
+
+TEST(GemmTest, AllPathsMatchBitwiseReferenceUnderEveryIsa) {
+  for (kernels::Isa isa : AvailableIsas()) {
+    kernels::ForceIsa(isa);
+    const bool fused = isa == kernels::Isa::kAvx2;
+    std::mt19937_64 rng(77);
+    for (const GemmShape& s : kBitwiseShapes) {
+      for (Op op_a : {Op::kNone, Op::kTranspose}) {
+        for (Op op_b : {Op::kNone, Op::kTranspose}) {
+          const Tensor a = RandomTensor(
+              op_a == Op::kNone ? Shape{s.m, s.k} : Shape{s.k, s.m}, rng);
+          const Tensor b = RandomTensor(
+              op_b == Op::kNone ? Shape{s.k, s.n} : Shape{s.n, s.k}, rng);
+          const Tensor bias = RandomTensor({s.n}, rng);
+          const Tensor base = RandomTensor({s.m, s.n}, rng);
+          struct Mode {
+            const char* name;
+            const float* bias;
+            float beta;
+          };
+          for (const Mode& mode : {Mode{"overwrite", nullptr, 0.0f},
+                                   Mode{"bias", bias.data().data(), 0.0f},
+                                   Mode{"beta=1", nullptr, 1.0f}}) {
+            Tensor c = base;
+            Gemm(op_a, op_b, a, b, c, mode.bias, mode.beta);
+            const Tensor expected = BitwiseReference(op_a, op_b, a, b, base,
+                                                     mode.bias, mode.beta,
+                                                     fused);
+            ASSERT_TRUE(BitwiseEqual(c, expected))
+                << (fused ? "avx2 " : "scalar ") << s.m << "x" << s.n << "x"
+                << s.k << " ops " << static_cast<int>(op_a) << ","
+                << static_cast<int>(op_b) << " " << mode.name;
+          }
+        }
+      }
+    }
+  }
+  kernels::ResetForcedIsa();
+}
+
+// op_b == kNone with k <= kGemmKc takes the direct path; the same product
+// through a transposed copy of B takes the packed path.
+TEST(GemmTest, DirectPathMatchesPackedPathBitwise) {
+  for (kernels::Isa isa : AvailableIsas()) {
+    kernels::ForceIsa(isa);
+    std::mt19937_64 rng(78);
+    for (const GemmShape& s : kBitwiseShapes) {
+      if (s.k > kGemmKc) {
+        continue;
+      }
+      for (Op op_a : {Op::kNone, Op::kTranspose}) {
+        const Tensor a = RandomTensor(
+            op_a == Op::kNone ? Shape{s.m, s.k} : Shape{s.k, s.m}, rng);
+        const Tensor b = RandomTensor({s.k, s.n}, rng);
+        const Tensor bt = Transposed(b);
+        const Tensor bias = RandomTensor({s.n}, rng);
+        const Tensor base = RandomTensor({s.m, s.n}, rng);
+        for (const float* bias_ptr : {static_cast<const float*>(nullptr),
+                                      bias.data().data()}) {
+          Tensor direct({s.m, s.n});
+          Tensor packed({s.m, s.n});
+          Gemm(op_a, Op::kNone, a, b, direct, bias_ptr);
+          Gemm(op_a, Op::kTranspose, a, bt, packed, bias_ptr);
+          ASSERT_TRUE(BitwiseEqual(direct, packed))
+              << s.m << "x" << s.n << "x" << s.k;
+        }
+        Tensor direct = base;
+        Tensor packed = base;
+        Gemm(op_a, Op::kNone, a, b, direct, nullptr, 1.0f);
+        Gemm(op_a, Op::kTranspose, a, bt, packed, nullptr, 1.0f);
+        ASSERT_TRUE(BitwiseEqual(direct, packed))
+            << "beta=1 " << s.m << "x" << s.n << "x" << s.k;
+      }
+    }
+  }
+  kernels::ResetForcedIsa();
+}
+
+// gemm.bytes_packed counts the panels actually packed: always the A panel,
+// and of B only what the packed path or a ragged direct-path sliver copies.
+TEST(GemmTest, BytesPackedCountsOnlyPackedPanels) {
+  auto& bytes = obs::DefaultRegistry().GetCounter("gemm.bytes_packed");
+  std::mt19937_64 rng(4);
+  auto packed_by = [&](Op op_b, std::size_t m, std::size_t n, std::size_t k) {
+    const Tensor a = RandomTensor({m, k}, rng);
+    const Tensor b =
+        RandomTensor(op_b == Op::kNone ? Shape{k, n} : Shape{n, k}, rng);
+    Tensor c({m, n});
+    const std::uint64_t before = bytes.Value();
+    Gemm(Op::kNone, op_b, a, b, c);
+    return bytes.Value() - before;
+  };
+  const std::uint64_t a_panel = 9 * 6 * sizeof(float);  // kc=9, one kMr panel
+  const std::uint64_t sliver = 9 * kernels::kNr * sizeof(float);
+  EXPECT_EQ(packed_by(Op::kNone, 6, 32, 9), a_panel);
+  EXPECT_EQ(packed_by(Op::kNone, 6, 40, 9), a_panel + sliver);
+  EXPECT_EQ(packed_by(Op::kTranspose, 6, 32, 9), a_panel + 2 * sliver);
+  // k past one block: B is packed per block, as before.
+  const std::uint64_t two_blocks = (256 + 44) * (6 + 2 * kernels::kNr) *
+                                   sizeof(float);
+  EXPECT_EQ(packed_by(Op::kNone, 6, 32, 300), two_blocks);
 }
 
 TEST(GemmTest, MismatchedShapesThrow) {
