@@ -122,19 +122,6 @@ void MakeFrameSeeds(const fs::path& dir) {
   WriteSeed(dir, "trace_select",
             net::EncodeFrame(net::EncodeTraceSelect({true})));
   WriteSeed(dir, "shutdown", net::EncodeFrame(net::MakeShutdownFrame()));
-  WriteSeed(dir, "shm_offer",
-            net::EncodeFrame(net::EncodeShmOffer(
-                {"/afnt-1234-40000-7-0", std::uint64_t{1} << 22})));
-  WriteSeed(dir, "shm_select",
-            net::EncodeFrame(net::EncodeShmSelect({true})));
-
-  // A raw AFSH segment header (the fuzz_frame harness also sniffs input as
-  // one): magic + version + power-of-two ring size.
-  std::vector<std::uint8_t> afsh;
-  for (std::uint8_t b : {0x41, 0x46, 0x53, 0x48}) afsh.push_back(b);
-  for (std::uint8_t b : {0x01, 0x00, 0x00, 0x00}) afsh.push_back(b);
-  AppendU64(afsh, std::uint64_t{1} << 22);
-  WriteSeed(dir, "afsh_header", afsh);
 
   net::ModelBroadcastMsg broadcast;
   broadcast.round = 3;

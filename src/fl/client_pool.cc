@@ -176,8 +176,6 @@ struct VirtualClientPool::Impl {
   obs::Counter& acks_dropped =
       obs::DefaultRegistry().GetCounter("pool.acks_ignored");
 
-  Impl() : reactor(net::ReactorOptions{1}) {}
-
   PoolConn* FindConn(int fd) {
     return fd >= 0 && fd < static_cast<int>(by_fd_sparse.size())
                ? by_fd_sparse[static_cast<std::size_t>(fd)]
@@ -295,12 +293,6 @@ struct VirtualClientPool::Impl {
       case net::MessageType::kTraceOffer:
         net::DecodeTraceOffer(frame);
         QueueToConn(pc, net::EncodeTraceSelect({options.trace_context}));
-        return;
-      case net::MessageType::kShmOffer:
-        // Rings are per-connection-pair; a mux connection declines (the
-        // server skips the offer for kHello sessions anyway).
-        net::DecodeShmOffer(frame);
-        QueueToConn(pc, net::EncodeShmSelect({false}));
         return;
       case net::MessageType::kModelBroadcast: {
         const net::ModelBroadcastMsg msg = net::DecodeModelBroadcast(frame);

@@ -1,8 +1,5 @@
 #include "fl/distributed.h"
 
-#include <poll.h>
-
-#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <map>
@@ -52,75 +49,12 @@ struct WorkerContext {
   TransportOptions options;
 };
 
-// The worker's data path: frames go over the socket until a ShmSelect{true}
-// was sent, then over the segment's rings (the socket stays open purely as
-// the liveness signal — readability after activation means EOF).
-struct WorkerLink {
-  net::Connection* conn = nullptr;
-  net::ShmSegment* shm = nullptr;  // non-null once rings are active
-  std::vector<std::uint8_t> ring_in;  // undecoded downlink-ring bytes
-
-  void SendFrameBytes(std::span<const std::uint8_t> bytes, int timeout_ms) {
-    if (shm != nullptr) {
-      AF_CHECK(shm->uplink().WriteAll(bytes, timeout_ms))
-          << "shm uplink write timed out";
-      return;
-    }
-    conn->SendBytes(bytes, timeout_ms);
-  }
-
-  net::Connection::RecvStatus TryRecvFrame(net::Frame* out, int timeout_ms) {
-    if (shm == nullptr) {
-      return conn->TryRecvFrame(out, timeout_ms);
-    }
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(
-                           timeout_ms < 0 ? kWorkerIdleTimeoutMs : timeout_ms);
-    while (true) {
-      net::FrameView view;
-      const std::size_t consumed = net::DecodeFrameView(ring_in, &view);
-      if (consumed != 0) {
-        out->type = view.type;
-        out->payload.assign(view.payload.begin(), view.payload.end());
-        ring_in.erase(ring_in.begin(),
-                      ring_in.begin() + static_cast<std::ptrdiff_t>(consumed));
-        return net::Connection::RecvStatus::kFrame;
-      }
-      if (shm->downlink().ReadSome(ring_in) > 0) {
-        continue;
-      }
-      pollfd pfd{conn->fd(), POLLIN, 0};
-      if (::poll(&pfd, 1, 0) > 0 &&
-          (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        return net::Connection::RecvStatus::kEof;
-      }
-      const auto left =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                Clock::now())
-              .count();
-      if (left <= 0) {
-        return net::Connection::RecvStatus::kTimeout;
-      }
-      // Short futex sleeps so the EOF poll above stays responsive.
-      shm->downlink().WaitReadable(
-          static_cast<int>(std::min<long long>(left, 50)));
-    }
-  }
-
-  bool RecvFrame(net::Frame* out, int timeout_ms) {
-    const auto status = TryRecvFrame(out, timeout_ms);
-    AF_CHECK(status != net::Connection::RecvStatus::kTimeout)
-        << "recv deadline elapsed";
-    return status == net::Connection::RecvStatus::kFrame;
-  }
-};
-
 // Sends the pre-encoded update frame through the fault injector and waits
 // for the server's Ack, resending on the retry schedule. Resends reuse the
 // same bytes, so retries stay byte-identical. Returns false when the worker
 // must die (connection intentionally killed, truncated, or the server never
 // acked). Broadcast frames that arrive while waiting are parked in `inbox`.
-bool SendUpdateReliably(const WorkerContext& ctx, WorkerLink& link,
+bool SendUpdateReliably(const WorkerContext& ctx, net::Connection& conn,
                         net::FaultInjector& injector,
                         std::span<const std::uint8_t> update_bytes,
                         std::uint64_t job_index,
@@ -145,7 +79,7 @@ bool SendUpdateReliably(const WorkerContext& ctx, WorkerLink& link,
     if (injector.doomed() && data_frames_sent >= injector.kill_after_frame()) {
       AF_LOG(kInfo) << "net: fault injector killing client "
                     << ctx.client_id << "'s connection";
-      link.conn->Close();
+      conn.Close();
       return false;
     }
     auto action = net::FaultInjector::Action::kDeliver;
@@ -161,22 +95,21 @@ bool SendUpdateReliably(const WorkerContext& ctx, WorkerLink& link,
         break;  // never hits the wire; the ack timeout triggers a resend
       case net::FaultInjector::Action::kTruncate:
         // A frame prefix then a hard close: the server sees a stream that
-        // dies mid-frame and evicts us. (Faulted workers never activate
-        // shm, so this always acts on the real socket.)
-        link.conn->SendBytes(update_bytes.first(update_bytes.size() / 2),
-                             ctx.options.io_timeout_ms);
-        link.conn->Close();
+        // dies mid-frame and evicts us.
+        conn.SendBytes(update_bytes.first(update_bytes.size() / 2),
+                       ctx.options.io_timeout_ms);
+        conn.Close();
         return false;
       case net::FaultInjector::Action::kDelay:
         SleepMs(injector.delay_ms());
-        link.SendFrameBytes(update_bytes, ctx.options.io_timeout_ms);
+        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
         break;
       case net::FaultInjector::Action::kDuplicate:
-        link.SendFrameBytes(update_bytes, ctx.options.io_timeout_ms);
-        link.SendFrameBytes(update_bytes, ctx.options.io_timeout_ms);
+        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
+        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
         break;
       case net::FaultInjector::Action::kDeliver:
-        link.SendFrameBytes(update_bytes, ctx.options.io_timeout_ms);
+        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
         break;
     }
 
@@ -191,7 +124,7 @@ bool SendUpdateReliably(const WorkerContext& ctx, WorkerLink& link,
         break;  // resend
       }
       net::Frame in;
-      const auto status = link.TryRecvFrame(&in, static_cast<int>(left));
+      const auto status = conn.TryRecvFrame(&in, static_cast<int>(left));
       if (status == net::Connection::RecvStatus::kTimeout) {
         break;  // resend
       }
@@ -214,7 +147,7 @@ bool SendUpdateReliably(const WorkerContext& ctx, WorkerLink& link,
   AF_LOG(kWarn) << "net: client " << ctx.client_id << " gave up on job "
                 << job_index << " after "
                 << ctx.options.retry.max_attempts << " attempts";
-  link.conn->Close();
+  conn.Close();
   return false;
 }
 
@@ -248,9 +181,6 @@ void RunWorker(WorkerContext ctx) {
     // (a ModelBroadcast) lands below and the run proceeds uncompressed.
     const compress::Codec* codec = nullptr;
     compress::FeedbackState feedback;
-    std::unique_ptr<net::ShmSegment> shm;
-    WorkerLink link;
-    link.conn = &conn;
     std::vector<std::uint8_t> update_bytes;  // reused per-job encode scratch
 
     while (!saw_shutdown) {
@@ -258,7 +188,7 @@ void RunWorker(WorkerContext ctx) {
       if (!inbox.empty()) {
         frame = std::move(inbox.front());
         inbox.pop_front();
-      } else if (!link.RecvFrame(&frame, kWorkerIdleTimeoutMs)) {
+      } else if (!conn.RecvFrame(&frame, kWorkerIdleTimeoutMs)) {
         break;  // server closed the connection
       }
       if (frame.type == net::MessageType::kShutdown) {
@@ -269,30 +199,6 @@ void RunWorker(WorkerContext ctx) {
         conn.SendFrame(
             net::EncodeTraceSelect({ctx.options.trace_context}),
             ctx.options.io_timeout_ms);
-        continue;
-      }
-      if (frame.type == net::MessageType::kShmOffer) {
-        const net::ShmOfferMsg offer = net::DecodeShmOffer(frame);
-        bool mapped = false;
-        // Fault injection acts on the socket (truncate, kill); a faulted
-        // worker that moved its data frames onto rings would make those
-        // faults meaningless, so it declines and stays on TCP.
-        if (!ctx.options.faults.Any()) {
-          try {
-            shm = net::ShmSegment::Open(
-                offer.name, static_cast<std::size_t>(offer.ring_bytes));
-            mapped = true;
-          } catch (const util::CheckError& e) {
-            AF_LOG(kWarn) << "net: shm segment " << offer.name
-                          << " rejected (" << e.what()
-                          << "); staying on TCP";
-          }
-        }
-        conn.SendFrame(net::EncodeShmSelect({mapped}),
-                       ctx.options.io_timeout_ms);
-        if (mapped) {
-          link.shm = shm.get();  // all data frames ride the rings from here
-        }
         continue;
       }
       if (frame.type == net::MessageType::kCodecOffer) {
@@ -342,7 +248,7 @@ void RunWorker(WorkerContext ctx) {
       // byte-identical and the feedback residual advances once.
       update_bytes.clear();
       net::AppendClientUpdateFrame(update_bytes, update, codec, &feedback);
-      if (!SendUpdateReliably(ctx, link, injector, update_bytes,
+      if (!SendUpdateReliably(ctx, conn, injector, update_bytes,
                               job.job_index, inbox, data_frames_sent,
                               backoff, saw_shutdown)) {
         return;
@@ -367,21 +273,7 @@ class TcpBackend : public TrainBackend {
         alive_count_(num_samples_.size()),
         options_(options),
         seed_(seed),
-        rtt_us_(obs::DefaultRegistry().GetHistogram("net.job_rtt_us")),
-        combine_us_(
-            obs::DefaultRegistry().GetHistogram("shard.combine_us")) {
-    // Per-shard staging: updates land in the buffer of the reactor shard
-    // whose connection delivered them, and a single combine pass after the
-    // wait loop folds every shard into the round's delta slots — the first
-    // cut of a sharded aggregation path. Positions are unique per job, so
-    // the combine order never affects results.
-    const int shards = std::max(1, server_->reactor_shards());
-    staging_.resize(static_cast<std::size_t>(shards));
-    shard_updates_.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      shard_updates_.push_back(&obs::DefaultRegistry().GetCounter(
-          "shard.updates", {{"shard", std::to_string(s)}}));
-    }
+        rtt_us_(obs::DefaultRegistry().GetHistogram("net.job_rtt_us")) {
     server_->SetUpdateHandler(
         [this](int client_id, net::ClientUpdateMsg msg) {
           OnUpdate(client_id, std::move(msg));
@@ -403,6 +295,9 @@ class TcpBackend : public TrainBackend {
     std::vector<net::UpdateView> deltas(jobs.size());
     current_deltas_ = &deltas;
     outstanding_.clear();
+    // The simulator reads each update's wire stats right after the Train()
+    // that produced it, so only this batch's entries need to live.
+    wire_stats_.clear();
 
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       const TrainJob& job = jobs[j];
@@ -456,7 +351,6 @@ class TcpBackend : public TrainBackend {
     // Push out any still-queued acks so workers stop resending while the
     // driver is busy aggregating/evaluating.
     server_->Flush(options_.io_timeout_ms);
-    CombineShards(deltas);
     current_deltas_ = nullptr;
     return deltas;
   }
@@ -506,41 +400,22 @@ class TcpBackend : public TrainBackend {
     const compress::Codec* codec = server_->ClientCodec(client_id);
     wire_stats_[{client_id, msg.job_index}] = {
         codec != nullptr ? codec->name() : "identity", msg.wire_bytes};
-    // Stage into the reactor shard the update arrived on. The delta either
-    // owns its floats already (lossy decode materialized them) or aliases
-    // the connection's read buffer, which dies when this callback returns —
-    // that one gets the single counted uplink copy, into the arena.
-    const int shard = std::max(0, server_->ShardOfClient(client_id));
-    auto& slot = staging_[static_cast<std::size_t>(shard) % staging_.size()];
-    shard_updates_[static_cast<std::size_t>(shard) % shard_updates_.size()]
-        ->Increment();
+    // Each job position is unique, so the update goes straight into its
+    // slot. The delta either owns its floats already (lossy decode
+    // materialized them) or aliases the connection's read buffer, which
+    // dies when this callback returns — that one gets the single counted
+    // uplink copy, into the arena.
+    net::UpdateView& slot = (*current_deltas_)[it->second.position];
     if (msg.delta.has_keepalive()) {
-      slot.emplace_back(it->second.position, std::move(msg.delta));
+      slot = std::move(msg.delta);
     } else {
       obs::DefaultRegistry()
           .GetCounter("transport.bytes_copied")
           .Increment(static_cast<std::uint64_t>(msg.delta.size()) *
                      sizeof(float));
-      slot.emplace_back(it->second.position,
-                        net::UpdateView::CopyToArena(arena_, msg.delta));
+      slot = net::UpdateView::CopyToArena(arena_, msg.delta);
     }
     outstanding_.erase(it);
-  }
-
-  // Folds every shard's staged updates into the round's delta slots. Each
-  // job position appears at most once across all shards, so this is
-  // order-independent — shard count never changes results.
-  void CombineShards(std::vector<net::UpdateView>& deltas) {
-    const auto begin = Clock::now();
-    for (auto& shard : staging_) {
-      for (auto& [position, view] : shard) {
-        deltas[position] = std::move(view);
-      }
-      shard.clear();
-    }
-    combine_us_.Record(
-        std::chrono::duration<double, std::micro>(Clock::now() - begin)
-            .count());
   }
 
   void OnDisconnect(int client_id) { MarkDead(client_id); }
@@ -552,13 +427,8 @@ class TcpBackend : public TrainBackend {
   TransportOptions options_;
   std::uint64_t seed_ = 0;
   obs::Histogram& rtt_us_;
-  obs::Histogram& combine_us_;
-  std::vector<obs::Counter*> shard_updates_;
   std::map<std::pair<int, std::uint64_t>, Pending> outstanding_;
   std::map<std::pair<int, std::uint64_t>, WireStats> wire_stats_;
-  // Per-reactor-shard staging buffers: (delta position, update) pairs
-  // collected by OnUpdate and folded by CombineShards.
-  std::vector<std::vector<std::pair<std::size_t, net::UpdateView>>> staging_;
   // Uplink deltas materialize here; blocks free themselves once the last
   // view into them dies (end of the aggregation round, typically).
   util::Arena arena_;
@@ -634,10 +504,7 @@ SimulationResult DistributedDriver::Run() {
   net::ServerOptions server_options;
   server_options.port = spec.transport.port;
   server_options.io_timeout_ms = spec.transport.io_timeout_ms;
-  server_options.reactor_shards = spec.transport.reactor_shards;
   server_options.offer_trace_context = spec.transport.trace_context;
-  server_options.offer_shm = spec.transport.shm;
-  server_options.shm_ring_bytes = spec.transport.shm_ring_bytes;
   if (!spec.transport.codec.empty()) {
     // Validate the name up front (throws with the known-codec list) and
     // advertise it; clients pick it during their handshake.
@@ -646,9 +513,7 @@ SimulationResult DistributedDriver::Run() {
   }
   impl.server = std::make_unique<net::Server>(server_options);
   AF_LOG(kInfo) << "net: server listening on 127.0.0.1:"
-                << impl.server->port() << " ("
-                << impl.server->reactor_backend() << ", "
-                << impl.server->reactor_shards() << " shard(s))";
+                << impl.server->port();
 
   std::vector<std::size_t> num_samples;
   num_samples.reserve(spec.clients.size());

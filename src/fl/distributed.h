@@ -7,7 +7,7 @@
 //   ─────────────                         ──────────────────────────────
 //   net::Server (epoll reactor) ◀─ TCP ─▶ kReal: one thread + connection
 //   Simulation + TcpBackend               per client (blocking I/O)
-//   sharded staging → defense             kVirtual: VirtualClientPool —
+//   delta slots → defense                 kVirtual: VirtualClientPool —
 //                                         few connections, worker crew
 //
 // Training jobs carry the same (client_id, job_index)-keyed RNG streams as
@@ -30,7 +30,6 @@
 #include "fl/client_pool.h"
 #include "fl/simulation.h"
 #include "net/fault_injector.h"
-#include "net/shm_ring.h"
 #include "net/socket.h"
 
 namespace fl {
@@ -41,10 +40,6 @@ struct TransportOptions {
   int job_timeout_ms = 120000; // evict a client that never answers a job
   int ack_timeout_ms = 250;    // client resend timer for unacked updates
   int handshake_timeout_ms = 10000;
-  // Reactor shards for the server's event loop: 1 (default) is fully
-  // deterministic; <=0 picks one per core capped at 8. Results are
-  // shard-count-invariant either way (updates land by job position).
-  int reactor_shards = 1;
   net::RetryConfig retry;      // connect retry + update resend backoff
   net::FaultConfig faults;     // wire fault injection (off by default)
   // Update-compression codec name (compress/codec.h). Empty → no codec
@@ -60,15 +55,6 @@ struct TransportOptions {
   // its update. Ids are pure functions of (seed, client, job), so enabling
   // this never perturbs results. Off → legacy wire bytes.
   bool trace_context = false;
-  // Shared-memory rings (--transport=shm): the server offers each client an
-  // mmap'd two-ring segment after its hello; data frames then bypass the
-  // socket entirely. The frame bytes on the rings are identical to the TCP
-  // bytes, so results stay bit-identical across transports. Workers with
-  // fault injection configured decline the offer (faults act on the
-  // socket), and any mapping failure falls back to TCP per connection.
-  // Multiplexed (virtual-pool) connections are never offered rings.
-  bool shm = false;
-  std::size_t shm_ring_bytes = net::kShmDefaultRingBytes;
 };
 
 // Everything a distributed run needs, in one bag — the mirror of

@@ -38,8 +38,6 @@ bool KnownType(std::uint16_t type) {
     case MessageType::kCodecSelect:
     case MessageType::kTraceOffer:
     case MessageType::kTraceSelect:
-    case MessageType::kShmOffer:
-    case MessageType::kShmSelect:
     case MessageType::kHello:
       return true;
   }
@@ -259,10 +257,6 @@ const char* MessageTypeName(MessageType type) {
       return "TraceOffer";
     case MessageType::kTraceSelect:
       return "TraceSelect";
-    case MessageType::kShmOffer:
-      return "ShmOffer";
-    case MessageType::kShmSelect:
-      return "ShmSelect";
     case MessageType::kHello:
       return "Hello";
   }
@@ -472,40 +466,6 @@ Frame EncodeTraceSelect(const TraceSelectMsg& msg) {
 TraceSelectMsg DecodeTraceSelect(const FrameView& frame) {
   CheckType(frame, MessageType::kTraceSelect);
   TraceSelectMsg msg;
-  std::size_t offset = 0;
-  msg.enabled = ReadRaw<std::uint8_t>(frame.payload, &offset) != 0;
-  CheckFullyConsumed(frame, offset);
-  return msg;
-}
-
-Frame EncodeShmOffer(const ShmOfferMsg& msg) {
-  Frame frame;
-  frame.type = MessageType::kShmOffer;
-  AppendName(frame.payload, msg.name);
-  AppendRaw(frame.payload, msg.ring_bytes);
-  return frame;
-}
-
-ShmOfferMsg DecodeShmOffer(const FrameView& frame) {
-  CheckType(frame, MessageType::kShmOffer);
-  ShmOfferMsg msg;
-  std::size_t offset = 0;
-  msg.name = ReadName(frame.payload, &offset);
-  msg.ring_bytes = ReadRaw<std::uint64_t>(frame.payload, &offset);
-  CheckFullyConsumed(frame, offset);
-  return msg;
-}
-
-Frame EncodeShmSelect(const ShmSelectMsg& msg) {
-  Frame frame;
-  frame.type = MessageType::kShmSelect;
-  frame.payload.push_back(msg.enabled ? 1 : 0);
-  return frame;
-}
-
-ShmSelectMsg DecodeShmSelect(const FrameView& frame) {
-  CheckType(frame, MessageType::kShmSelect);
-  ShmSelectMsg msg;
   std::size_t offset = 0;
   msg.enabled = ReadRaw<std::uint8_t>(frame.payload, &offset) != 0;
   CheckFullyConsumed(frame, offset);

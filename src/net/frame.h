@@ -41,13 +41,6 @@
 // block. The block is emitted only when trace_id is non-zero and decoders
 // sniff for it, so an untraced run — or a legacy peer — sees wire bytes
 // identical to before trace propagation existed.
-//
-// Shared-memory negotiation (see docs/NETWORK.md): a server running with
-// --transport=shm follows the hello with a ShmOffer naming an mmap-able
-// ring segment; the client answers with a ShmSelect saying whether it
-// mapped it. On acceptance both sides move data frames onto the rings (same
-// frame bytes, so bit-identity is free); on refusal — or with no offer —
-// the connection stays plain TCP.
 #pragma once
 
 #include <cstddef>
@@ -74,8 +67,8 @@ enum class MessageType : std::uint16_t {
   kCodecSelect = 6,     // client → server: the codec the client will use
   kTraceOffer = 7,      // server → client: server understands trace context
   kTraceSelect = 8,     // client → server: client will attach trace context
-  kShmOffer = 9,        // server → client: shared-memory ring segment name
-  kShmSelect = 10,      // client → server: whether the client mapped it
+  // 9 and 10 are retired and must not be reused: a stale peer may still
+  // send them, and decode rejects them as unknown types.
   kHello = 11,          // client → server: multiplexed hello (many client ids)
 };
 
@@ -191,19 +184,6 @@ struct TraceSelectMsg {
   bool enabled = false;
 };
 
-// Server → client: a shared-memory ring segment (shm_open name) sized
-// `ring_bytes` per direction, for same-host data frames.
-struct ShmOfferMsg {
-  std::string name;
-  std::uint64_t ring_bytes = 0;
-};
-
-// Client → server: whether the segment was mapped and validated. false →
-// the connection stays TCP (the fallback is always legal).
-struct ShmSelectMsg {
-  bool enabled = false;
-};
-
 // Client → server: multiplexed hello. One connection announces every
 // client id it will carry; the server binds them all to this session.
 // Single-client peers keep sending the legacy hello Ack instead.
@@ -256,12 +236,6 @@ TraceOfferMsg DecodeTraceOffer(const FrameView& frame);
 
 Frame EncodeTraceSelect(const TraceSelectMsg& msg);
 TraceSelectMsg DecodeTraceSelect(const FrameView& frame);
-
-Frame EncodeShmOffer(const ShmOfferMsg& msg);
-ShmOfferMsg DecodeShmOffer(const FrameView& frame);
-
-Frame EncodeShmSelect(const ShmSelectMsg& msg);
-ShmSelectMsg DecodeShmSelect(const FrameView& frame);
 
 Frame EncodeHello(const HelloMsg& msg);
 HelloMsg DecodeHello(const FrameView& frame);

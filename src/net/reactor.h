@@ -1,14 +1,9 @@
-// Sharded fd-readiness reactor: the half of the old poll()-era server that
-// cared about sockets, split out so sessions (net/session.h) never touch an
-// fd and transports register uniformly.
+// Fd-readiness reactor: the half of the server that cares about sockets,
+// split out so sessions (net/session.h) never touch an fd. The server and
+// the virtual-client pool each own one.
 //
-// On Linux the reactor is built from epoll: N shard epoll fds, connections
-// hash-assigned to shards, nested inside one master epoll so a single
-// Wait() call sleeps on everything and dispatch cost is O(ready), not
-// O(connections). Everywhere else — or with AF_REACTOR=poll in the
-// environment — a poll()-based implementation sits behind the identical
-// interface (kqueue would slot in the same way), so the fallback is always
-// testable on the primary platform.
+// One level-triggered epoll fd holds every registered connection plus the
+// read end of a wakeup pipe, so a single Wait() call sleeps on everything.
 //
 // All registration and Wait() calls belong to one owner thread; Wakeup() is
 // the one cross-thread entry point (it interrupts a blocked Wait, which is
@@ -18,9 +13,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
+#include <unordered_map>
 #include <vector>
+
+#include "obs/metrics.h"
+#include "util/fd.h"
 
 namespace net {
 
@@ -28,26 +25,19 @@ struct ReactorEvent {
   int fd = -1;
   bool readable = false;
   bool writable = false;
-  bool error = false;   // EPOLLERR / POLLERR / POLLNVAL
-  bool hangup = false;  // EPOLLHUP / POLLHUP
-};
-
-struct ReactorOptions {
-  // Shard count; <= 0 picks one shard per core, capped at 8. One shard is
-  // the fully deterministic default the distributed driver uses.
-  int shards = 1;
+  bool error = false;   // EPOLLERR
+  bool hangup = false;  // EPOLLHUP
 };
 
 class Reactor {
  public:
-  explicit Reactor(ReactorOptions options = {});
-  ~Reactor();
+  Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  // Registers `fd` with level-triggered read interest and hash-assigns it
-  // to a shard. The fd must stay valid until Remove.
+  // Registers `fd` with level-triggered read interest. The fd must stay
+  // valid until Remove.
   void Add(int fd);
   // Toggles write interest (read interest is permanent until Remove).
   // No-op when the interest already matches.
@@ -64,17 +54,20 @@ class Reactor {
   // while no Wait is in progress makes the next Wait return immediately.
   void Wakeup();
 
-  // Stable shard assignment for a registered fd; -1 for unknown fds.
-  int ShardOf(int fd) const;
-  int shard_count() const;
-  std::size_t watched_count() const;
-
-  // "epoll" or "poll" — which implementation this build/environment picked.
-  const char* backend_name() const;
+  std::size_t watched_count() const { return want_write_.size(); }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  void Ctl(int op, int fd, bool want_write);
+
+  util::UniqueFd epoll_;
+  // Wakeup pipe: the read end sits in the epoll set, any thread writes a
+  // byte to interrupt. Non-blocking on both ends so a flood of wakeups
+  // coalesces instead of blocking the caller.
+  util::UniqueFd wake_read_;
+  util::UniqueFd wake_write_;
+  std::unordered_map<int, bool> want_write_;  // registered fd → interest
+  obs::Counter& wakeups_;
+  obs::Counter& events_;
 };
 
 }  // namespace net

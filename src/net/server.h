@@ -1,4 +1,4 @@
-// TCP server event loop for the distributed run mode, built on the sharded
+// TCP server event loop for the distributed run mode, built on the
 // net::Reactor (fd readiness) and net::Session (protocol state machine).
 //
 // Single-threaded: the driver thread calls PollOnce() to pump one tick —
@@ -9,15 +9,16 @@
 // non-blocking; a connection that stays stalled mid-frame or mid-write past
 // `io_timeout_ms` is evicted.
 //
-// Scale: connections are hash-assigned to reactor shards (epoll on Linux,
-// poll fallback elsewhere or with AF_REACTOR=poll), so a tick costs
-// O(ready fds), not O(connections) — tens of thousands of concurrent
-// connections are sustained by one loop. A connection may be *multiplexed*:
-// a kHello frame binds many client ids (a virtual-client pool) to one
-// socket, and broadcasts to those ids carry a trailing AFVC client-id block
-// so the pool can demux. Protocol behavior — handshake ordering, codec/
-// trace/shm negotiation, (client_id, job_index)-keyed update dedup with
-// re-acks, eviction policy — lives in net/session.h.
+// Cost: readiness dispatch is O(ready fds) through one epoll set, but the
+// stall-eviction scan at the end of every tick visits every connection, so
+// a tick is O(connections).
+//
+// A connection may be *multiplexed*: a kHello frame binds many client ids
+// (a virtual-client pool) to one socket, and broadcasts to those ids carry
+// a trailing AFVC client-id block so the pool can demux. Protocol behavior
+// — handshake ordering, codec/trace negotiation, (client_id, job_index)-
+// keyed update dedup with re-acks, eviction policy — lives in
+// net/session.h.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,6 @@
 
 #include "net/frame.h"
 #include "net/reactor.h"
-#include "net/shm_ring.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 
@@ -52,16 +52,6 @@ struct ServerOptions {
   // answer with a TraceSelect saying whether they will attach AFTC blocks.
   // Off → no offer, wire identical to before trace propagation existed.
   bool offer_trace_context = false;
-  // Offer a shared-memory ring segment to each client after its hello
-  // (--transport=shm). A client that maps it moves data frames onto the
-  // rings; one that declines — or a segment that fails to create — stays on
-  // plain TCP. The socket remains open as the liveness signal either way.
-  // Multiplexed (kHello) sessions are never offered a segment.
-  bool offer_shm = false;
-  std::size_t shm_ring_bytes = kShmDefaultRingBytes;
-  // Reactor shards (see net/reactor.h). 1 is the deterministic default;
-  // <= 0 picks one shard per core, capped at 8.
-  int reactor_shards = 1;
 };
 
 class Server {
@@ -122,19 +112,9 @@ class Server {
   // clients that did.
   bool ClientTraceContext(int client_id) const;
 
-  // Whether the client's connection negotiated (and activated) the
-  // shared-memory rings; false for plain-TCP clients and unknown ids.
-  bool ClientUsesShm(int client_id) const;
-
   // Whether the client rides a multiplexed (kHello) session. Broadcasts to
   // such clients must carry the AFVC client-id block so the pool can demux.
   bool IsMultiplexed(int client_id) const;
-
-  // Reactor shard the client's connection is assigned to; -1 when unknown.
-  int ShardOfClient(int client_id) const;
-
-  int reactor_shards() const { return reactor_.shard_count(); }
-  const char* reactor_backend() const { return reactor_.backend_name(); }
 
  private:
   struct Conn;
@@ -149,15 +129,10 @@ class Server {
   // Decodes every complete frame in `conn.in` into the session; returns
   // false when the connection must close.
   bool ProcessInbuf(Conn& conn);
-  // Attempts to write pending bytes (socket or downlink ring); returns
-  // false on a dead socket.
+  // Attempts to write pending bytes; returns false on a dead socket.
   bool WriteConn(Conn& conn);
   // Syncs the reactor's write interest with the connection's outbox.
   void UpdateWriteInterest(Conn& conn);
-  // Drains every shm connection's uplink ring (the rings have no fd for
-  // the reactor to watch); called each tick.
-  void DrainShmConns();
-  bool HasActiveShm() const;
   void CloseConn(Conn& conn, const char* reason);
 
   ServerOptions options_;

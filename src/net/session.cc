@@ -38,7 +38,6 @@ bool Session::HandleFrame(const FrameView& frame) {
       return false;  // client says goodbye
     case MessageType::kCodecSelect:
     case MessageType::kTraceSelect:
-    case MessageType::kShmSelect:
       return true;  // repeated select after negotiation; harmless
     case MessageType::kHello:
       AF_LOG(kWarn) << "net: client " << primary_id()
@@ -47,7 +46,6 @@ bool Session::HandleFrame(const FrameView& frame) {
     case MessageType::kModelBroadcast:
     case MessageType::kCodecOffer:
     case MessageType::kTraceOffer:
-    case MessageType::kShmOffer:
       AF_LOG(kWarn) << "net: client " << primary_id()
                     << " sent a server-only frame; closing";
       return false;
@@ -114,18 +112,6 @@ void Session::BeginNegotiation() {
     host_->SendFrame(EncodeTraceOffer({}));
     awaiting_trace_select_ = true;
   }
-  // Shm rings are per-connection-pair: a multiplexed session carries too
-  // many clients for one ring, so the offer is skipped and the connection
-  // stays on its byte transport.
-  if (options_.offer_shm && !multiplexed_) {
-    const std::string name =
-        host_->CreateShmSegment(primary_id(), options_.shm_ring_bytes);
-    if (!name.empty()) {
-      host_->SendFrame(EncodeShmOffer(
-          {name, static_cast<std::uint64_t>(options_.shm_ring_bytes)}));
-      awaiting_shm_select_ = true;
-    }
-  }
   MaybeCompleteHandshake();
 }
 
@@ -157,13 +143,6 @@ bool Session::HandleNegotiation(const FrameView& frame) {
     MaybeCompleteHandshake();
     return true;
   }
-  if (frame.type == MessageType::kShmSelect && awaiting_shm_select_) {
-    const bool enabled = DecodeShmSelect(frame).enabled;
-    awaiting_shm_select_ = false;
-    host_->SetShmActive(enabled);
-    MaybeCompleteHandshake();
-    return true;
-  }
   AF_LOG(kWarn) << "net: client " << primary_id() << " sent "
                 << MessageTypeName(frame.type)
                 << " before negotiation finished; closing";
@@ -191,8 +170,7 @@ bool Session::HandleClientUpdate(const FrameView& frame) {
 }
 
 void Session::MaybeCompleteHandshake() {
-  if (awaiting_codec_select_ || awaiting_trace_select_ ||
-      awaiting_shm_select_) {
+  if (awaiting_codec_select_ || awaiting_trace_select_) {
     return;
   }
   handshake_complete_ = true;

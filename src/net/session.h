@@ -1,10 +1,8 @@
-// Transport-agnostic protocol session: the half of the poll()-era server
-// that cared about the protocol — handshake, codec/trace/shm negotiation,
-// update dedup, eviction policy — split out from fd readiness (which lives
-// in net/reactor.h). A Session never touches a socket: its owner (the Host)
-// feeds it decoded frames and carries out the side effects it requests, so
-// the same state machine serves TCP sockets, shm rings, and any future
-// transport that can deliver frames.
+// Transport-agnostic protocol session: the half of the server that cares
+// about the protocol — handshake, codec/trace negotiation, update dedup,
+// eviction policy — split out from fd readiness (which lives in
+// net/reactor.h). A Session never touches a socket: its owner (the Host)
+// feeds it decoded frames and carries out the side effects it requests.
 //
 // Per-session state machine:
 //
@@ -16,9 +14,7 @@
 //        └─ anything else / malformed ──▶ closed (HandleFrame → false)
 //
 // Multiplexed sessions carry many client ids over one connection (the
-// virtual-client pool's hello). Negotiation is identical except that no shm
-// segment is offered — the rings are per-connection-pair and a mux session
-// multiplexes too many peers for one ring to be a win. Update dedup is
+// virtual-client pool's hello). Negotiation is identical. Update dedup is
 // keyed (client_id, job_index) so id streams on a shared session cannot
 // collide.
 #pragma once
@@ -46,9 +42,6 @@ class Session {
     std::vector<std::string> advertised_codecs;
     // Offer trace-context propagation (TraceOffer after the hello).
     bool offer_trace_context = false;
-    // Offer a shared-memory ring to single-client sessions.
-    bool offer_shm = false;
-    std::size_t shm_ring_bytes = 0;
   };
 
   // The transport owning this session. All calls arrive synchronously from
@@ -67,13 +60,6 @@ class Session {
     virtual void OnUpdate(int client_id, ClientUpdateMsg msg) = 0;
     virtual void OnDuplicateUpdate(int client_id,
                                    std::uint64_t job_index) = 0;
-    // Creates the per-connection shm segment; returns its name, or "" when
-    // creation failed / is unsupported (no offer is sent, stays TCP).
-    virtual std::string CreateShmSegment(int client_id,
-                                         std::size_t ring_bytes) = 0;
-    // The peer's ShmSelect arrived: activate the rings or discard the
-    // segment and stay on the byte transport.
-    virtual void SetShmActive(bool active) = 0;
   };
 
   Session(Host* host, Options options);
@@ -95,7 +81,6 @@ class Session {
   // Negotiated codec; nullptr = identity / legacy handshake.
   const compress::Codec* codec() const { return codec_; }
   bool trace_context() const { return trace_context_; }
-  bool shm_offered() const { return awaiting_shm_select_; }
 
  private:
   bool HandleHelloAck(const FrameView& frame);
@@ -116,7 +101,6 @@ class Session {
   bool handshake_complete_ = false;
   bool awaiting_codec_select_ = false;
   bool awaiting_trace_select_ = false;
-  bool awaiting_shm_select_ = false;
   bool trace_context_ = false;
   const compress::Codec* codec_ = nullptr;
   // Dedup of resent updates, keyed (client_id, job_index) so multiplexed

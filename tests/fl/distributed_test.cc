@@ -50,50 +50,6 @@ TEST(DistributedTest, TcpMatchesInprocUnderLieAttack) {
   EXPECT_EQ(tcp.evicted_clients, 0u);
 }
 
-TEST(DistributedTest, ShmMatchesInprocAndTcpBitExactly) {
-  // The shm transport moves the exact same frame bytes over mmap'd rings,
-  // so all three transports must produce one SimulationResult, bit for bit.
-  ExperimentConfig config = SmallConfig(67);
-  config.attack = attacks::AttackKind::kLie;
-  config.defense = DefenseKind::kAsyncFilter;
-  config.sim.rounds = 6;
-
-  config.transport = TransportKind::kInproc;
-  const SimulationResult inproc = RunExperiment(config);
-
-  config.transport = TransportKind::kTcp;
-  const SimulationResult tcp = RunExperiment(config);
-
-  config.transport = TransportKind::kShm;
-  const SimulationResult shm = RunExperiment(config);
-
-  ASSERT_EQ(shm.rounds.size(), inproc.rounds.size());
-  EXPECT_EQ(shm.final_model, inproc.final_model);  // bit-exact
-  EXPECT_EQ(shm.final_model, tcp.final_model);     // bit-exact
-  EXPECT_NEAR(shm.final_accuracy, inproc.final_accuracy, 0.0);
-  EXPECT_EQ(shm.evicted_clients, 0u);
-}
-
-TEST(DistributedTest, ShmWithCodecMatchesInproc) {
-  // Compressed frames ride the rings unchanged too: shm + fp16 must equal
-  // inproc + fp16 (which mirrors the wire's lossy round trip).
-  ExperimentConfig config = SmallConfig(68);
-  config.attack = attacks::AttackKind::kLie;
-  config.defense = DefenseKind::kAsyncFilter;
-  config.sim.rounds = 5;
-  config.compress = "fp16";
-
-  config.transport = TransportKind::kInproc;
-  const SimulationResult inproc = RunExperiment(config);
-
-  config.transport = TransportKind::kShm;
-  const SimulationResult shm = RunExperiment(config);
-
-  ASSERT_EQ(shm.rounds.size(), inproc.rounds.size());
-  EXPECT_EQ(shm.final_model, inproc.final_model);  // bit-exact
-  EXPECT_EQ(shm.evicted_clients, 0u);
-}
-
 TEST(DistributedTest, SurvivesFaultyWireWithSameResult) {
   // Drops are resent, duplicates deduped, delays absorbed — none of them may
   // change what the server aggregates.
@@ -253,34 +209,6 @@ TEST(DistributedTest, VirtualPoolTcpMatchesInprocBitExactly) {
   EXPECT_EQ(virt.final_model, inproc.final_model);  // bit-exact
   EXPECT_NEAR(virt.final_accuracy, inproc.final_accuracy, 0.0);
   EXPECT_EQ(virt.evicted_clients, 0u);
-}
-
-TEST(DistributedTest, ShardedReactorMatchesSingleShardBitExactly) {
-  // Reactor sharding only changes which epoll fd wakes the loop; per-shard
-  // staging buffers are combined by job position before the defense pass,
-  // so shard count must never leak into the result.
-  ExperimentConfig config = SmallConfig(70);
-  config.attack = attacks::AttackKind::kLie;
-  config.defense = DefenseKind::kAsyncFilter;
-  config.sim.rounds = 5;
-  config.transport = TransportKind::kTcp;
-
-  config.net.reactor_shards = 1;
-  const SimulationResult one_shard = RunExperiment(config);
-
-  config.net.reactor_shards = 4;
-  const SimulationResult four_shards = RunExperiment(config);
-
-  // And the virtual pool over a sharded reactor, all at once.
-  config.pool.mode = ClientPoolSpec::Mode::kVirtual;
-  config.pool.connections = 5;
-  config.pool.workers = 2;
-  const SimulationResult pooled = RunExperiment(config);
-
-  EXPECT_EQ(four_shards.final_model, one_shard.final_model);  // bit-exact
-  EXPECT_EQ(pooled.final_model, one_shard.final_model);       // bit-exact
-  EXPECT_EQ(four_shards.evicted_clients, 0u);
-  EXPECT_EQ(pooled.evicted_clients, 0u);
 }
 
 TEST(DistributedTest, CompletesWhenFifthOfClientsDieMidRun) {

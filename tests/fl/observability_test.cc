@@ -110,6 +110,41 @@ TEST_F(ObservabilityTest, AuditOnLeavesResultsBitIdentical) {
   EXPECT_EQ(audited.final_accuracy, plain.final_accuracy);
 }
 
+TEST_F(ObservabilityTest, TcpAuditRecordsCarryNegotiatedCodecAndWireBytes) {
+  // Over tcp every audited update must report the codec it crossed the wire
+  // with and its encoded size, including on rounds long after the first.
+  const std::string path = ::testing::TempDir() + "obs_audit_tcp.jsonl";
+  ExperimentConfig config = TinyConfig(74);
+  config.attack = attacks::AttackKind::kGd;
+  config.defense = DefenseKind::kAsyncFilter;
+  config.transport = TransportKind::kTcp;
+  config.compress = "fp16";
+
+  obs::AuditTrail::Global().Open(path);
+  const SimulationResult result = RunExperiment(config);
+  obs::AuditTrail::Global().Close();
+  EXPECT_EQ(result.evicted_clients, 0u);
+
+  std::ifstream in(path);
+  std::string line;
+  std::size_t lines = 0;
+  const std::string wire_key = "\"wire_bytes\":";
+  while (std::getline(in, line)) {
+    EXPECT_NE(line.find("\"codec\":\"fp16\""), std::string::npos) << line;
+    const std::size_t at = line.find(wire_key);
+    ASSERT_NE(at, std::string::npos) << line;
+    const std::string value = line.substr(at + wire_key.size());
+    ASSERT_FALSE(value.empty()) << line;
+    ASSERT_TRUE(value[0] >= '1' && value[0] <= '9')
+        << "wire_bytes not a positive count: " << line;
+    ++lines;
+  }
+  in.close();
+  std::remove(path.c_str());
+  EXPECT_EQ(lines, obs::AuditTrail::Global().RecordCount());
+  EXPECT_GT(lines, 0u);
+}
+
 TEST_F(ObservabilityTest, ExporterOnLeavesResultsBitIdentical) {
   ExperimentConfig config = TinyConfig(73);
   config.attack = attacks::AttackKind::kGd;

@@ -86,9 +86,14 @@ TEST(FrameTest, WrongVersionThrows) {
 }
 
 TEST(FrameTest, UnknownTypeThrows) {
-  const auto bytes = Corrupted(EncodeAck({5}), 6, 0x66);  // type low byte
-  Frame out;
-  EXPECT_THROW(DecodeFrame(bytes, &out), util::CheckError);
+  // 9 and 10 are retired type values: a peer still speaking them must be
+  // rejected at decode, not handed to a session.
+  for (const std::uint8_t type : {0x66, 9, 10}) {
+    const auto bytes = Corrupted(EncodeAck({5}), 6, type);  // type low byte
+    Frame out;
+    EXPECT_THROW(DecodeFrame(bytes, &out), util::CheckError)
+        << "type " << int{type};
+  }
 }
 
 TEST(FrameTest, OversizedLengthThrows) {

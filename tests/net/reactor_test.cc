@@ -1,9 +1,5 @@
-// Tests for the sharded fd-readiness reactor (net/reactor.h) and the
-// server built on it, run against BOTH backends: the platform default
-// (epoll on Linux) and the poll() fallback forced via AF_REACTOR=poll.
-// The backend is chosen at Reactor construction, so flipping the
-// environment inside a fixture covers the fallback on the primary
-// platform instead of leaving it to exotic CI runners.
+// Tests for the epoll fd-readiness reactor (net/reactor.h) and the server
+// built on it.
 //
 // The soak test at the bottom is the PR's scale gate: ~1k concurrent
 // connections accepted, a slice evicted, and the evicted ids reconnected
@@ -16,7 +12,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
@@ -61,37 +56,14 @@ struct Pipe {
   int write_fd = -1;
 };
 
-// Param "poll" forces the fallback; "default" leaves the platform choice
-// (epoll on Linux) in place.
+// One instantiation, "platform_default": epoll is the only backend.
 class ReactorBackendTest : public ::testing::TestWithParam<const char*> {
  protected:
-  void SetUp() override {
-    if (std::string(GetParam()) == "poll") {
-      ::setenv("AF_REACTOR", "poll", 1);
-    } else {
-      ::unsetenv("AF_REACTOR");
-    }
-  }
-  void TearDown() override { ::unsetenv("AF_REACTOR"); }
-
   static bool HasEventFor(const std::vector<ReactorEvent>& events, int fd) {
     return std::any_of(events.begin(), events.end(),
                        [fd](const ReactorEvent& e) { return e.fd == fd; });
   }
 };
-
-TEST_P(ReactorBackendTest, BackendNameMatchesEnvironment) {
-  Reactor reactor;
-  if (std::string(GetParam()) == "poll") {
-    EXPECT_STREQ(reactor.backend_name(), "poll");
-  } else {
-#if defined(__linux__)
-    EXPECT_STREQ(reactor.backend_name(), "epoll");
-#else
-    EXPECT_STREQ(reactor.backend_name(), "poll");
-#endif
-  }
-}
 
 TEST_P(ReactorBackendTest, ReportsReadReadinessLevelTriggered) {
   Reactor reactor;
@@ -181,46 +153,18 @@ TEST_P(ReactorBackendTest, WakeupIsStickyAcrossWaits) {
   EXPECT_EQ(reactor.Wait(0, &events), 0u);
 }
 
-TEST_P(ReactorBackendTest, ShardAssignmentIsStableAndInRange) {
-  ReactorOptions options;
-  options.shards = 4;
-  Reactor reactor(options);
-  EXPECT_EQ(reactor.shard_count(), 4);
-
-  std::vector<Pipe> pipes(16);
-  std::set<int> shards_used;
-  for (const Pipe& p : pipes) {
-    reactor.Add(p.read_fd);
-    const int shard = reactor.ShardOf(p.read_fd);
-    ASSERT_GE(shard, 0);
-    ASSERT_LT(shard, 4);
-    EXPECT_EQ(reactor.ShardOf(p.read_fd), shard) << "assignment not stable";
-    shards_used.insert(shard);
-  }
-  EXPECT_EQ(reactor.watched_count(), pipes.size());
-  // The Knuth hash must actually spread sequential fds, not pile them up.
-  EXPECT_GT(shards_used.size(), 1u);
-  EXPECT_EQ(reactor.ShardOf(999999), -1);
-
-  for (const Pipe& p : pipes) {
-    reactor.Remove(p.read_fd);
-  }
-  EXPECT_EQ(reactor.watched_count(), 0u);
-}
-
-TEST_P(ReactorBackendTest, EventsOnManyShardsSurfaceInOneWait) {
-  ReactorOptions options;
-  options.shards = 4;
-  Reactor reactor(options);
+TEST_P(ReactorBackendTest, ManyReadyFdsSurfaceInOneWait) {
+  Reactor reactor;
   std::vector<Pipe> pipes(12);
   for (const Pipe& p : pipes) {
     reactor.Add(p.read_fd);
     p.WriteByte();
   }
+  EXPECT_EQ(reactor.watched_count(), pipes.size());
   std::vector<ReactorEvent> events;
   std::size_t seen = 0;
   // Level-triggered, so a couple of ticks gather every ready fd even when a
-  // backend caps its per-wait batch.
+  // reactor caps its per-wait batch.
   for (int tick = 0; tick < 10 && seen < pipes.size(); ++tick) {
     events.clear();
     reactor.Wait(100, &events);
@@ -234,6 +178,11 @@ TEST_P(ReactorBackendTest, EventsOnManyShardsSurfaceInOneWait) {
     }
   }
   EXPECT_EQ(seen, pipes.size());
+
+  for (const Pipe& p : pipes) {
+    reactor.Remove(p.read_fd);
+  }
+  EXPECT_EQ(reactor.watched_count(), 0u);
 }
 
 TEST_P(ReactorBackendTest, HangupIsReported) {
@@ -254,17 +203,15 @@ TEST_P(ReactorBackendTest, HangupIsReported) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackendTest,
-                         ::testing::Values("default", "poll"),
-                         [](const auto& info) {
-                           return std::string(info.param) == "poll"
-                                      ? std::string("poll_fallback")
-                                      : std::string("platform_default");
+                         ::testing::Values("default"),
+                         [](const auto&) {
+                           return std::string("platform_default");
                          });
 
 // ---------------------------------------------------------------------------
 // Scale soak: ~1k concurrent connections through one Server loop, with an
 // eviction wave and reconnects. This is the accept/evict/reconnect gate for
-// the sharded reactor (reactor_shards=4 so cross-shard dispatch is real).
+// the reactor.
 // ---------------------------------------------------------------------------
 
 // Raises RLIMIT_NOFILE toward its hard cap and returns the soft limit we
@@ -295,9 +242,7 @@ TEST(ReactorSoakTest, ThousandConnectionsAcceptEvictReconnect) {
   ServerOptions options;
   options.port = 0;
   options.io_timeout_ms = 30000;
-  options.reactor_shards = 4;
   Server server(options);
-  EXPECT_EQ(server.reactor_shards(), 4);
 
   std::vector<int> disconnected;
   server.SetDisconnectHandler(
@@ -321,15 +266,6 @@ TEST(ReactorSoakTest, ThousandConnectionsAcceptEvictReconnect) {
   ASSERT_TRUE(server.WaitForClients(static_cast<std::size_t>(kClients), 30000))
       << "only " << server.ConnectedCount() << " of " << kClients
       << " clients completed their handshake";
-
-  // Connections must be spread across every shard, or the hash is broken.
-  std::set<int> shards_used;
-  for (int id = 0; id < kClients; ++id) {
-    const int shard = server.ShardOfClient(id);
-    ASSERT_GE(shard, 0) << "client " << id << " has no shard";
-    shards_used.insert(shard);
-  }
-  EXPECT_EQ(shards_used.size(), 4u);
 
   // Evict every 10th client; only those ids may fire the disconnect hook.
   std::set<int> evicted;
