@@ -4,14 +4,15 @@
 // Part 1 measures the streaming rescoring path — the operation AsyncFilter
 // performs every time the buffer changes: evict the oldest update, insert
 // the arrival, recompute every buffered update's suspicious score, and
-// re-cluster. Three lanes over buffer sizes 64→8192 at the LeNet-surrogate
+// re-cluster. Two lanes over buffer sizes 64→8192 at the LeNet-surrogate
 // dimension:
-//   exact        AF_SCORER=exact semantics — every distance recomputed,
-//                cold k-means++ with restarts each arrival (the pre-scorer
-//                behaviour).
-//   incremental  cached norms/reference distances (only the new arrival's
-//                distance is computed) + warm-started Lloyd.
-//   quantized    int8 candidate scoring (certified-bound approximations).
+//   exact        a bench-local recompute: every distance re-evaluated from
+//                scratch through tensor::kernels, then cold k-means++ with
+//                restarts each arrival (the pre-scorer behaviour).
+//   incremental  the StreamingScorer's cached norms/reference distances
+//                (only the new arrival's distance is computed) + Lloyd
+//                warm-started from the previous centroids, as AsyncFilter
+//                runs it.
 // Per-arrival latency is reported as p50/p95. Acceptance tracked per PR:
 // incremental ≥5× faster than exact at buffer 4096 (p50), with incremental
 // p95 under a millisecond.
@@ -25,6 +26,7 @@
 // `--out=FILE` redirects the JSON.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <random>
@@ -39,7 +41,7 @@
 #include "fl/types.h"
 #include "obs/json.h"
 #include "score/scorer.h"
-#include "score/warm_kmeans.h"
+#include "tensor/kernels.h"
 #include "util/flags.h"
 #include "util/rng.h"
 
@@ -79,9 +81,19 @@ struct LaneResult {
   std::size_t samples = 0;
 };
 
-// One (mode, buffer-size) lane of the per-arrival streaming sweep.
-LaneResult RunLane(score::ScorerMode mode, std::size_t buffer_size,
-                   bool smoke) {
+// ‖ref − ω‖ recomputed from scratch: the formula the scorer caches, with no
+// cache in front of it.
+double RecomputedDistance(std::span<const float> ref,
+                          std::span<const float> delta) {
+  const double d2 =
+      tensor::kernels::SumSquares(ref.data(), ref.size()) +
+      tensor::kernels::SumSquares(delta.data(), delta.size()) -
+      2.0 * tensor::kernels::Dot(ref.data(), delta.data(), delta.size());
+  return std::sqrt(d2 > 0.0 ? d2 : 0.0);
+}
+
+// One (lane, buffer-size) cell of the per-arrival streaming sweep.
+LaneResult RunLane(bool exact, std::size_t buffer_size, bool smoke) {
   auto rng = util::RngFactory(7).Stream("stream");
   std::uniform_int_distribution<std::size_t> tau(0, kStalenessLevels - 1);
 
@@ -96,7 +108,7 @@ LaneResult RunLane(score::ScorerMode mode, std::size_t buffer_size,
     FillDelta(ref, rng);
   }
 
-  score::StreamingScorer scorer(mode);
+  score::StreamingScorer scorer;
   std::vector<int> slots(buffer_size);
   for (std::size_t i = 0; i < buffer_size; ++i) {
     FillDelta(deltas[i], rng);
@@ -109,40 +121,36 @@ LaneResult RunLane(score::ScorerMode mode, std::size_t buffer_size,
   }
 
   auto kmeans_rng = util::RngFactory(11).Stream("kmeans");
-  score::WarmKMeansState warm;
+  std::vector<double> centroids;  // previous clustering, the warm start
   std::vector<double> own(buffer_size, 0.0);
 
   // The measured operation: absorb one arrival and fully rescore the buffer
   // — exactly what AsyncFilter's streaming path does per buffer mutation.
   const auto score_arrival = [&](std::size_t pos) {
+    if (exact) {
+      // Pre-scorer behaviour: every distance recomputed, cold k-means++ with
+      // restarts every arrival.
+      for (std::size_t i = 0; i < buffer_size; ++i) {
+        own[i] = RecomputedDistance(references[buffer[i].staleness],
+                                    deltas[i]);
+      }
+      const std::vector<double> scores = core::NormalizeOwnDistances(
+          buffer, own, core::ScoreNormalization::kGroupRms);
+      return cluster::KMeans1D(scores, 3, kmeans_rng).inertia;
+    }
     scorer.Evict(slots[pos]);
     slots[pos] = scorer.Insert(deltas[pos]);
-    if (mode == score::ScorerMode::kQuantized) {
-      for (std::size_t i = 0; i < buffer_size; ++i) {
-        own[i] =
-            scorer.ApproxDistanceToReference(buffer[i].staleness, slots[i])
-                .value;
-      }
-    } else {
-      for (std::size_t i = 0; i < buffer_size; ++i) {
-        own[i] = scorer.DistanceToReference(buffer[i].staleness, slots[i]);
-      }
-    }
-    const std::vector<double> scores = core::NormalizeOwnDistances(
-        buffer, own, core::ScoreNormalization::kGroupRms);
-    if (mode == score::ScorerMode::kExact) {
-      // Pre-scorer behaviour: cold k-means++ with restarts every arrival.
-      auto clustering = cluster::KMeans1D(scores, 3, kmeans_rng);
-      return clustering.inertia;
-    }
-    auto clustering = score::WarmKMeans1D(scores, 3, kmeans_rng, warm);
+    const std::vector<double> scores = core::ComputeSuspiciousScores(
+        buffer, scorer, slots, core::ScoreNormalization::kGroupRms);
+    auto clustering = cluster::KMeans1D(scores, 3, kmeans_rng, {}, centroids);
+    centroids = clustering.centroids;
     return clustering.inertia;
   };
 
   // Exact recomputes ~3 full-buffer passes per arrival; cap its sample count
   // at large sizes so the sweep stays tractable.
   std::size_t samples = smoke ? 8 : 32;
-  if (mode == score::ScorerMode::kExact && buffer_size >= 4096) {
+  if (exact && buffer_size >= 4096) {
     samples = smoke ? 4 : 8;
   }
   const std::size_t warmup = 2;
@@ -166,7 +174,7 @@ LaneResult RunLane(score::ScorerMode mode, std::size_t buffer_size,
   }
 
   LaneResult result;
-  result.mode = score::ScorerModeName(mode);
+  result.mode = exact ? "exact" : "incremental";
   result.buffer = buffer_size;
   result.p50_us = Percentile(times, 0.50);
   result.p95_us = Percentile(times, 0.95);
@@ -244,13 +252,10 @@ int main(int argc, char** argv) {
 
   std::printf("Per-arrival streaming rescoring (dim %zu)\n", kDim);
   const std::size_t buffer_sizes[] = {64, 256, 1024, 4096, 8192};
-  const score::ScorerMode modes[] = {score::ScorerMode::kExact,
-                                     score::ScorerMode::kIncremental,
-                                     score::ScorerMode::kQuantized};
   std::vector<LaneResult> lanes;
   for (std::size_t buffer_size : buffer_sizes) {
-    for (score::ScorerMode mode : modes) {
-      lanes.push_back(RunLane(mode, buffer_size, smoke));
+    for (bool exact : {true, false}) {
+      lanes.push_back(RunLane(exact, buffer_size, smoke));
     }
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "obs/trace.h"
 #include "util/check.h"
@@ -10,75 +11,71 @@
 namespace cluster {
 namespace {
 
-double SquaredDist(const std::vector<double>& a, const std::vector<double>& b) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    double d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
+double SquaredDist(double a, double b) {
+  const double d = a - b;
+  return d * d;
 }
 
 // k-means++ seeding.
-std::vector<std::vector<double>> SeedCentroids(
-    const std::vector<std::vector<double>>& points, std::size_t k,
-    std::mt19937_64& rng) {
-  std::vector<std::vector<double>> centroids;
+std::vector<double> SeedCentroids(std::span<const double> values,
+                                  std::size_t k, std::mt19937_64& rng) {
+  std::vector<double> centroids;
   centroids.reserve(k);
-  std::uniform_int_distribution<std::size_t> pick(0, points.size() - 1);
-  centroids.push_back(points[pick(rng)]);
-  std::vector<double> dist2(points.size());
+  std::uniform_int_distribution<std::size_t> pick(0, values.size() - 1);
+  centroids.push_back(values[pick(rng)]);
+  std::vector<double> dist2(values.size());
   while (centroids.size() < k) {
     double total = 0.0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
       double best = std::numeric_limits<double>::infinity();
-      for (const auto& c : centroids) {
-        best = std::min(best, SquaredDist(points[i], c));
+      for (double c : centroids) {
+        best = std::min(best, SquaredDist(values[i], c));
       }
       dist2[i] = best;
       total += best;
     }
     if (total <= 0.0) {
-      // All points coincide with existing centroids; duplicate one.
-      centroids.push_back(points[pick(rng)]);
+      // All values coincide with existing centroids; duplicate one.
+      centroids.push_back(values[pick(rng)]);
       continue;
     }
     std::uniform_real_distribution<double> uniform(0.0, total);
     double target = uniform(rng);
-    std::size_t chosen = points.size() - 1;
+    std::size_t chosen = values.size() - 1;
     double acc = 0.0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
       acc += dist2[i];
       if (acc >= target) {
         chosen = i;
         break;
       }
     }
-    centroids.push_back(points[chosen]);
+    centroids.push_back(values[chosen]);
   }
   return centroids;
 }
 
 // Lloyd iterations from the given seed centroids; shared by the k-means++
-// restarts and the warm-started entry point (KMeansFromCentroids).
-KMeansResult Lloyd(const std::vector<std::vector<double>>& points,
-                   std::vector<std::vector<double>> seed_centroids,
+// restarts and the warm start.
+KMeansResult Lloyd(std::span<const double> values,
+                   std::vector<double> seed_centroids,
                    std::size_t max_iterations) {
-  const std::size_t dim = points.front().size();
   const std::size_t k = seed_centroids.size();
   KMeansResult result;
   result.centroids = std::move(seed_centroids);
-  result.assignment.assign(points.size(), 0);
+  result.assignment.assign(values.size(), 0);
+  std::vector<double> sums(k);
+  std::vector<std::size_t> counts(k);
 
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
     AF_TRACE_SPAN("kmeans.iter");
     bool changed = false;
     // Assign.
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
       std::size_t best = 0;
       double best_d = std::numeric_limits<double>::infinity();
       for (std::size_t c = 0; c < k; ++c) {
-        double d = SquaredDist(points[i], result.centroids[c]);
+        const double d = SquaredDist(values[i], result.centroids[c]);
         if (d < best_d) {
           best_d = d;
           best = c;
@@ -90,36 +87,32 @@ KMeansResult Lloyd(const std::vector<std::vector<double>>& points,
       }
     }
     // Update.
-    std::vector<std::vector<double>> sums(k, std::vector<double>(dim, 0.0));
-    std::vector<std::size_t> counts(k, 0);
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    std::fill(sums.begin(), sums.end(), 0.0);
+    std::fill(counts.begin(), counts.end(), 0);
+    for (std::size_t i = 0; i < values.size(); ++i) {
       const std::size_t c = result.assignment[i];
       ++counts[c];
-      for (std::size_t d = 0; d < dim; ++d) {
-        sums[c][d] += points[i][d];
-      }
+      sums[c] += values[i];
     }
     for (std::size_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
-        // Re-seed an empty cluster on the point farthest from its centroid.
+        // Re-seed an empty cluster on the value farthest from its centroid
+        // (centroids before c already hold this iteration's means).
         std::size_t farthest = 0;
         double far_d = -1.0;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-          double d = SquaredDist(points[i],
-                                 result.centroids[result.assignment[i]]);
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          const double d =
+              SquaredDist(values[i], result.centroids[result.assignment[i]]);
           if (d > far_d) {
             far_d = d;
             farthest = i;
           }
         }
-        result.centroids[c] = points[farthest];
+        result.centroids[c] = values[farthest];
         changed = true;
         continue;
       }
-      for (std::size_t d = 0; d < dim; ++d) {
-        result.centroids[c][d] =
-            sums[c][d] / static_cast<double>(counts[c]);
-      }
+      result.centroids[c] = sums[c] / static_cast<double>(counts[c]);
     }
     result.iterations = iter + 1;
     if (!changed) {
@@ -128,112 +121,37 @@ KMeansResult Lloyd(const std::vector<std::vector<double>>& points,
   }
 
   result.inertia = 0.0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    result.inertia += SquaredDist(points[i],
-                                  result.centroids[result.assignment[i]]);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    result.inertia +=
+        SquaredDist(values[i], result.centroids[result.assignment[i]]);
   }
   return result;
 }
 
-KMeansResult RunOnce(const std::vector<std::vector<double>>& points,
-                     std::size_t k, std::mt19937_64& rng,
-                     std::size_t max_iterations) {
-  return Lloyd(points, SeedCentroids(points, k, rng), max_iterations);
-}
-
 }  // namespace
 
-KMeansResult KMeans(const std::vector<std::vector<double>>& points,
-                    std::size_t k, std::mt19937_64& rng,
-                    const KMeansOptions& options) {
+KMeansResult KMeans1D(std::span<const double> values, std::size_t k,
+                      std::mt19937_64& rng, const KMeansOptions& options,
+                      std::span<const double> warm_start) {
   AF_TRACE_SPAN("kmeans.run");
-  AF_CHECK(!points.empty());
+  AF_CHECK(!values.empty());
   AF_CHECK_GT(k, 0u);
-  const std::size_t dim = points.front().size();
-  for (const auto& p : points) {
-    AF_CHECK_EQ(p.size(), dim);
+  if (warm_start.size() == k && values.size() >= k) {
+    return Lloyd(values, {warm_start.begin(), warm_start.end()},
+                 options.max_iterations);
   }
 
   KMeansResult best;
   best.inertia = std::numeric_limits<double>::infinity();
   const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
   for (std::size_t r = 0; r < restarts; ++r) {
-    KMeansResult candidate = RunOnce(points, k, rng, options.max_iterations);
+    KMeansResult candidate =
+        Lloyd(values, SeedCentroids(values, k, rng), options.max_iterations);
     if (candidate.inertia < best.inertia) {
       best = std::move(candidate);
     }
   }
   return best;
-}
-
-KMeansResult KMeansFromCentroids(
-    const std::vector<std::vector<double>>& points,
-    std::vector<std::vector<double>> initial_centroids,
-    std::size_t max_iterations) {
-  AF_TRACE_SPAN("kmeans.warm");
-  AF_CHECK(!points.empty());
-  AF_CHECK(!initial_centroids.empty());
-  const std::size_t dim = points.front().size();
-  for (const auto& p : points) {
-    AF_CHECK_EQ(p.size(), dim);
-  }
-  for (const auto& c : initial_centroids) {
-    AF_CHECK_EQ(c.size(), dim);
-  }
-  return Lloyd(points, std::move(initial_centroids), max_iterations);
-}
-
-KMeansResult KMeans1D(std::span<const double> values, std::size_t k,
-                      std::mt19937_64& rng, const KMeansOptions& options) {
-  std::vector<std::vector<double>> points;
-  points.reserve(values.size());
-  for (double v : values) {
-    points.push_back({v});
-  }
-  return KMeans(points, k, rng, options);
-}
-
-double Silhouette(const std::vector<std::vector<double>>& points,
-                  const KMeansResult& clustering) {
-  const std::size_t k = clustering.centroids.size();
-  if (k < 2 || points.size() < 2) {
-    return 0.0;
-  }
-  std::vector<std::size_t> counts(k, 0);
-  for (std::size_t c : clustering.assignment) {
-    ++counts[c];
-  }
-  for (std::size_t c = 0; c < k; ++c) {
-    if (counts[c] == 0) {
-      return 0.0;
-    }
-  }
-
-  double total = 0.0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    std::vector<double> mean_dist(k, 0.0);
-    for (std::size_t j = 0; j < points.size(); ++j) {
-      if (i == j) {
-        continue;
-      }
-      mean_dist[clustering.assignment[j]] +=
-          std::sqrt(SquaredDist(points[i], points[j]));
-    }
-    const std::size_t own = clustering.assignment[i];
-    double a = counts[own] > 1
-                   ? mean_dist[own] / static_cast<double>(counts[own] - 1)
-                   : 0.0;
-    double b = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < k; ++c) {
-      if (c == own) {
-        continue;
-      }
-      b = std::min(b, mean_dist[c] / static_cast<double>(counts[c]));
-    }
-    double denom = std::max(a, b);
-    total += denom > 0.0 ? (b - a) / denom : 0.0;
-  }
-  return total / static_cast<double>(points.size());
 }
 
 std::size_t GapStatisticK(std::span<const double> values, std::size_t max_k,

@@ -1,8 +1,9 @@
-// k-means clustering.
+// 1-D k-means clustering.
 //
 // AsyncFilter's attacker identification runs 3-means (and the Fig. 7
 // ablation 2-means) over 1-D suspicious scores; FLDetector runs k-means with
-// a gap statistic over 1-D per-client scores. Both paths share this module.
+// a gap statistic over 1-D per-client scores. Both paths share this module,
+// and neither needs more than one dimension.
 #pragma once
 
 #include <cstddef>
@@ -13,9 +14,9 @@
 namespace cluster {
 
 struct KMeansResult {
-  std::vector<std::vector<double>> centroids;  // k × dim
-  std::vector<std::size_t> assignment;         // per-point centroid index
-  double inertia = 0.0;                        // sum of squared distances
+  std::vector<double> centroids;        // one per cluster
+  std::vector<std::size_t> assignment;  // per-value centroid index
+  double inertia = 0.0;                 // sum of squared distances
   std::size_t iterations = 0;
 };
 
@@ -24,33 +25,20 @@ struct KMeansOptions {
   std::size_t restarts = 4;  // best-of-n k-means++ restarts
 };
 
-// General N-D k-means (k-means++ init, Lloyd iterations). Requires
-// points.size() >= 1; if k > #distinct points some clusters may be empty and
-// are re-seeded on the farthest point.
-KMeansResult KMeans(const std::vector<std::vector<double>>& points,
-                    std::size_t k, std::mt19937_64& rng,
-                    const KMeansOptions& options = {});
-
-// Warm-started k-means: plain Lloyd iterations from caller-provided seed
-// centroids — no k-means++ seeding, no restarts, no RNG draws. The streaming
-// scorer reuses the previous round's centroids here so re-clustering after a
-// buffer mutation converges in a couple of iterations instead of paying
-// seeding + restarts every time. Deterministic: same points + same seed
-// centroids → same result. Empty clusters are re-seeded on the farthest
-// point, exactly as in KMeans.
-KMeansResult KMeansFromCentroids(
-    const std::vector<std::vector<double>>& points,
-    std::vector<std::vector<double>> initial_centroids,
-    std::size_t max_iterations = 100);
-
-// 1-D convenience wrapper.
+// Clusters `values` (non-empty) into k groups with Lloyd iterations.
+//
+// Cold start (the default): best of `options.restarts` k-means++ seedings.
+// If k exceeds the number of distinct values some clusters start empty and
+// are re-seeded on the farthest value.
+//
+// Warm start: when `warm_start` holds exactly k centroids and there are at
+// least k values, Lloyd starts from those centroids instead — no k-means++
+// seeding, no restarts, no RNG draws. AsyncFilter passes the previous
+// round's centroids here; consecutive rounds see nearly the same score
+// distribution, so the warm run converges in a couple of iterations.
 KMeansResult KMeans1D(std::span<const double> values, std::size_t k,
-                      std::mt19937_64& rng, const KMeansOptions& options = {});
-
-// Mean silhouette coefficient of a clustering (−1..1, higher = tighter);
-// returns 0 when any cluster is empty or k < 2.
-double Silhouette(const std::vector<std::vector<double>>& points,
-                  const KMeansResult& clustering);
+                      std::mt19937_64& rng, const KMeansOptions& options = {},
+                      std::span<const double> warm_start = {});
 
 // Tibshirani gap statistic over 1-D values: picks k in [1, max_k] comparing
 // log-inertia against uniform reference draws. FLDetector uses this to

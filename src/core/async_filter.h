@@ -13,14 +13,13 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/staleness_groups.h"
 #include "core/suspicious_score.h"
 #include "defense/defense.h"
 #include "score/scorer.h"
-#include "score/warm_kmeans.h"
 
 namespace obs {
 class Counter;
@@ -54,10 +53,6 @@ struct AsyncFilterOptions {
   // A deferred update is dropped once re-deferred this many times, keeping
   // the buffer from accumulating zombies.
   std::size_t max_deferrals = 2;
-  // Scoring backend; unset reads AF_SCORER (see score/scorer.h). Exact and
-  // incremental produce bit-identical verdicts; quantized scores candidates
-  // from int8 codes and exactly rescores only the borderline updates.
-  std::optional<score::ScorerMode> scorer_mode;
 };
 
 // No-op whose only job is to force this translation unit — and with it the
@@ -76,37 +71,30 @@ class AsyncFilter : public defense::Defense {
 
   std::string Name() const override;
   void Reset() override;
-  // Cross-round state: the per-staleness moving-average bank and the
-  // deferral ledger. Options are configuration, not state.
+  // Cross-round state: the per-staleness moving-average bank, the deferral
+  // ledger and the previous round's centroids. Options are configuration,
+  // not state.
   void SaveState(util::serial::Writer& w) const override;
   void LoadState(util::serial::Reader& r) override;
 
   const MovingAverageBank& bank() const { return bank_; }
-  score::ScorerMode scorer_mode() const { return scorer_.mode(); }
 
  private:
   // Loads this round's buffer and the bank's group estimates into the
   // scorer; returns update i's slot in slots[i].
   std::vector<int> SyncScorer(const std::vector<fl::ModelUpdate>& updates);
-  // Quantized candidate path: approximate scores with certified distance
-  // bounds, exact rescoring of updates whose score interval straddles a
-  // cluster-band boundary. Returns false when the fast path does not apply
-  // (non-quantized mode, Eq. 7 normalization).
-  bool QuantizedScores(const std::vector<fl::ModelUpdate>& updates,
-                       const std::vector<int>& slots,
-                       std::vector<double>* own, std::vector<double>* bounds);
 
   AsyncFilterOptions options_;
   MovingAverageBank bank_;
   // Deferral counts keyed by (client, base_round) so a deferred update is
   // recognised when it re-enters the buffer.
   std::map<std::pair<int, std::size_t>, std::size_t> deferral_counts_;
-  // Streaming scoring backend (norm / reference-distance caches) and the
-  // warm-start state for re-clustering: the previous round's centroids seed
-  // Lloyd so steady-state rounds skip k-means++ seeding and restarts.
-  // kmeans_state_ is cross-round state and checkpoints with the bank.
+  // Streaming scorer (norm / reference-distance caches) and the previous
+  // round's k-means centroids, which warm-start the next clustering so
+  // steady-state rounds skip k-means++ seeding and restarts. centroids_ is
+  // cross-round state and checkpoints with the bank.
   score::StreamingScorer scorer_;
-  score::WarmKMeansState kmeans_state_;
+  std::vector<double> centroids_;
   obs::Counter* degenerate_rounds_;  // defense.degenerate_rounds
 };
 

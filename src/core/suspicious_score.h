@@ -52,19 +52,19 @@ std::vector<double> ComputeSuspiciousScores(
     ScoreNormalization normalization = ScoreNormalization::kGroupRms);
 
 // Streaming-scorer path: same semantics, but every distance is answered by
-// the scorer — recomputed in exact mode, served from the norm/reference
-// caches in incremental mode, identical bits either way (both evaluate
-// √(‖ref‖² + ‖ω‖² − 2⟨ref, ω⟩) through the same kernels). The caller must
-// have registered a reference per staleness group (keyed by the staleness
-// value) and inserted update i at slots[i].
+// the scorer's norm/reference caches, evaluating √(‖ref‖² + ‖ω‖² − 2⟨ref, ω⟩)
+// through tensor::kernels. The caller must have registered a reference per
+// staleness group (keyed by the staleness value) and inserted update i at
+// slots[i].
 std::vector<double> ComputeSuspiciousScores(
     const std::vector<fl::ModelUpdate>& updates, score::StreamingScorer& scorer,
     const std::vector<int>& slots,
     ScoreNormalization normalization = ScoreNormalization::kGroupRms);
 
-// Eq. 7 normalization applied to precomputed own-group distances. Exposed
-// for the quantized candidate path, which normalizes *approximate* distances
-// before deciding which updates need exact rescoring. kEq7CrossGroup is not
+// Eq. 7 normalization applied to precomputed own-group distances, the last
+// step of both ComputeSuspiciousScores overloads; exposed so a recomputing
+// reference (the exact oracle in tests/score/, the exact lane of
+// bench_micro_filter_overhead) can share it. kEq7CrossGroup is not
 // representable from own[] alone and must not be passed here.
 std::vector<double> NormalizeOwnDistances(
     const std::vector<fl::ModelUpdate>& updates, const std::vector<double>& own,

@@ -226,7 +226,7 @@ AggregationResult FlDetector::Process(const FilterContext& context,
     }
   } else {
     cluster::KMeansResult split = cluster::KMeans1D(scores, 2, *context.rng);
-    const bool high_is_1 = split.centroids[1][0] > split.centroids[0][0];
+    const bool high_is_1 = split.centroids[1] > split.centroids[0];
     const std::size_t bad = high_is_1 ? 1 : 0;
     for (std::size_t i = 0; i < updates.size(); ++i) {
       if (split.assignment[i] == bad) {

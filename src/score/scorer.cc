@@ -1,24 +1,17 @@
 #include "score/scorer.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "obs/metrics.h"
 #include "tensor/kernels.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace score {
 namespace {
 
-std::optional<ScorerMode>& ModeOverride() {
-  static std::optional<ScorerMode> override;
-  return override;
-}
-
-// The one exact formula both backends share: same kernel calls in the same
-// order, so cached and recomputed answers are bit-identical.
+// The one formula behind every distance. The exact oracle in tests/score/
+// recomputes it from scratch through the same kernel calls in the same
+// order, so cached answers must match it bit for bit.
 double SquaredDistanceFromParts(double sq_a, double sq_b, double dot) {
   const double d2 = sq_a + sq_b - 2.0 * dot;
   return d2 > 0.0 ? d2 : 0.0;
@@ -26,52 +19,12 @@ double SquaredDistanceFromParts(double sq_a, double sq_b, double dot) {
 
 }  // namespace
 
-const char* ScorerModeName(ScorerMode mode) {
-  switch (mode) {
-    case ScorerMode::kExact:
-      return "exact";
-    case ScorerMode::kIncremental:
-      return "incremental";
-    case ScorerMode::kQuantized:
-      return "quantized";
-  }
-  return "?";
-}
-
-ScorerMode ScorerModeFromEnv() {
-  if (ModeOverride().has_value()) {
-    return *ModeOverride();
-  }
-  const char* env = std::getenv("AF_SCORER");
-  if (env == nullptr || *env == '\0') {
-    return ScorerMode::kIncremental;
-  }
-  const std::string value(env);
-  if (value == "exact") {
-    return ScorerMode::kExact;
-  }
-  if (value == "incremental") {
-    return ScorerMode::kIncremental;
-  }
-  if (value == "quantized" || value == "quant") {
-    return ScorerMode::kQuantized;
-  }
-  AF_LOG(kWarn) << "score: unknown AF_SCORER value '" << value
-                << "', using incremental";
-  return ScorerMode::kIncremental;
-}
-
-void SetScorerModeOverrideForTest(std::optional<ScorerMode> mode) {
-  ModeOverride() = mode;
-}
-
-StreamingScorer::StreamingScorer(ScorerMode mode) : mode_(mode) {
+StreamingScorer::StreamingScorer() {
   obs::MetricsRegistry& registry = obs::DefaultRegistry();
   inserts_ = &registry.GetCounter("score.inserts");
   evicts_ = &registry.GetCounter("score.evicts");
   ref_dist_computed_ = &registry.GetCounter("score.ref_dist_computed");
   ref_dist_cached_ = &registry.GetCounter("score.ref_dist_cached");
-  approx_dist_ = &registry.GetCounter("score.approx_dist");
   slots_gauge_ = &registry.GetGauge("score.slots");
 }
 
@@ -89,34 +42,29 @@ int StreamingScorer::Insert(std::span<const float> delta) {
   s.delta = delta;
   s.live = true;
   ++s.epoch;
-  s.sq_norm_valid = false;
   s.ref_cache.clear();
-  s.quantized_valid = false;
   ++live_count_;
-  if (caching()) {
-    s.sq_norm = ComputeSquaredNorm(s);
-    s.sq_norm_valid = true;
-    if (pairwise_active_) {
-      // Rank-1 Gram update: one new row, mirrored into the columns of the
-      // live peers. Dead slots keep stale entries — epochs make them
-      // unreachable, and slot reuse overwrites them.
-      s.gram.assign(slots_.size(), 0.0);
-      s.gram_epoch.assign(slots_.size(), 0);
-      for (std::size_t j = 0; j < slots_.size(); ++j) {
-        Slot& peer = slots_[j];
-        if (!peer.live || static_cast<int>(j) == slot) {
-          continue;
-        }
-        const double dot = ComputeDot(s, peer);
-        s.gram[j] = dot;
-        s.gram_epoch[j] = peer.epoch;
-        if (peer.gram.size() < slots_.size()) {
-          peer.gram.resize(slots_.size(), 0.0);
-          peer.gram_epoch.resize(slots_.size(), 0);
-        }
-        peer.gram[static_cast<std::size_t>(slot)] = dot;
-        peer.gram_epoch[static_cast<std::size_t>(slot)] = s.epoch;
+  s.sq_norm = tensor::kernels::SumSquares(delta.data(), delta.size());
+  if (pairwise_active_) {
+    // Rank-1 Gram update: one new row, mirrored into the columns of the
+    // live peers. Dead slots keep stale entries — epochs make them
+    // unreachable, and slot reuse overwrites them.
+    s.gram.assign(slots_.size(), 0.0);
+    s.gram_epoch.assign(slots_.size(), 0);
+    for (std::size_t j = 0; j < slots_.size(); ++j) {
+      Slot& peer = slots_[j];
+      if (!peer.live || static_cast<int>(j) == slot) {
+        continue;
       }
+      const double dot = ComputeDot(s, peer);
+      s.gram[j] = dot;
+      s.gram_epoch[j] = peer.epoch;
+      if (peer.gram.size() < slots_.size()) {
+        peer.gram.resize(slots_.size(), 0.0);
+        peer.gram_epoch.resize(slots_.size(), 0);
+      }
+      peer.gram[static_cast<std::size_t>(slot)] = dot;
+      peer.gram_epoch[static_cast<std::size_t>(slot)] = s.epoch;
     }
   }
   inserts_->Increment();
@@ -138,7 +86,6 @@ void StreamingScorer::Evict(int slot) {
   s.live = false;
   s.delta = {};
   s.ref_cache.clear();
-  s.quantized_valid = false;
   free_slots_.push_back(slot);
   --live_count_;
   evicts_->Increment();
@@ -169,10 +116,7 @@ void StreamingScorer::SetReference(std::uint64_t key,
   Reference& ref = references_[key];
   ref.estimate = estimate;
   ++ref.epoch;
-  ref.quantized_valid = false;
-  if (caching()) {
-    ref.sq_norm = tensor::kernels::SumSquares(estimate.data(), estimate.size());
-  }
+  ref.sq_norm = tensor::kernels::SumSquares(estimate.data(), estimate.size());
 }
 
 bool StreamingScorer::HasReference(std::uint64_t key) const {
@@ -190,26 +134,14 @@ std::vector<std::uint64_t> StreamingScorer::ReferenceKeys() const {
 
 void StreamingScorer::ClearReferences() { references_.clear(); }
 
-double StreamingScorer::ComputeSquaredNorm(const Slot& s) const {
-  return tensor::kernels::SumSquares(s.delta.data(), s.delta.size());
-}
-
 double StreamingScorer::ComputeDot(const Slot& a, const Slot& b) const {
   AF_CHECK_EQ(a.delta.size(), b.delta.size());
   return tensor::kernels::Dot(a.delta.data(), b.delta.data(), a.delta.size());
 }
 
-double StreamingScorer::SquaredNorm(int slot) {
+double StreamingScorer::SquaredNorm(int slot) const {
   AF_CHECK(IsLive(slot));
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  if (!caching()) {
-    return ComputeSquaredNorm(s);
-  }
-  if (!s.sq_norm_valid) {
-    s.sq_norm = ComputeSquaredNorm(s);
-    s.sq_norm_valid = true;
-  }
-  return s.sq_norm;
+  return slots_[static_cast<std::size_t>(slot)].sq_norm;
 }
 
 void StreamingScorer::ActivatePairwise() {
@@ -217,9 +149,6 @@ void StreamingScorer::ActivatePairwise() {
     return;
   }
   pairwise_active_ = true;
-  if (!caching()) {
-    return;
-  }
   // One-time fill for the slots inserted before the pairwise plane woke up;
   // every later Insert extends the matrix one rank at a time.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -257,9 +186,6 @@ double StreamingScorer::Dot(int a, int b) {
   if (a == b) {
     return SquaredNorm(a);
   }
-  if (!caching()) {
-    return ComputeDot(sa, sb);
-  }
   ActivatePairwise();
   const auto ub = static_cast<std::size_t>(b);
   if (sa.gram.size() <= ub || sa.gram_epoch[ub] != sb.epoch) {
@@ -289,37 +215,19 @@ double StreamingScorer::PairwiseSquaredDistance(int a, int b) {
 }
 
 double StreamingScorer::ComputeReferenceDistance(const Reference& ref,
-                                                 Slot& s) {
+                                                 const Slot& s) const {
   AF_CHECK_EQ(ref.estimate.size(), s.delta.size());
-  const double ref_sq =
-      caching() ? ref.sq_norm
-                : tensor::kernels::SumSquares(ref.estimate.data(),
-                                              ref.estimate.size());
-  double slot_sq;
-  if (caching()) {
-    if (!s.sq_norm_valid) {
-      s.sq_norm = ComputeSquaredNorm(s);
-      s.sq_norm_valid = true;
-    }
-    slot_sq = s.sq_norm;
-  } else {
-    slot_sq = ComputeSquaredNorm(s);
-  }
   const double dot = tensor::kernels::Dot(ref.estimate.data(), s.delta.data(),
                                           s.delta.size());
-  return std::sqrt(SquaredDistanceFromParts(ref_sq, slot_sq, dot));
+  return std::sqrt(SquaredDistanceFromParts(ref.sq_norm, s.sq_norm, dot));
 }
 
 double StreamingScorer::DistanceToReference(std::uint64_t key, int slot) {
   AF_CHECK(IsLive(slot));
   auto it = references_.find(key);
   AF_CHECK(it != references_.end()) << "score: unknown reference " << key;
-  Reference& ref = it->second;
+  const Reference& ref = it->second;
   Slot& s = slots_[static_cast<std::size_t>(slot)];
-  if (!caching()) {
-    ref_dist_computed_->Increment();
-    return ComputeReferenceDistance(ref, s);
-  }
   auto cached = s.ref_cache.find(key);
   if (cached != s.ref_cache.end() && cached->second.first == ref.epoch) {
     ref_dist_cached_->Increment();
@@ -329,61 +237,6 @@ double StreamingScorer::DistanceToReference(std::uint64_t key, int slot) {
   s.ref_cache[key] = {ref.epoch, distance};
   ref_dist_computed_->Increment();
   return distance;
-}
-
-const QuantizedVec& StreamingScorer::SlotQuantized(int slot) {
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  if (!s.quantized_valid) {
-    s.quantized = Quantize(s.delta);
-    s.quantized_valid = true;
-  }
-  return s.quantized;
-}
-
-StreamingScorer::ApproxDistance StreamingScorer::ApproxDistanceToReference(
-    std::uint64_t key, int slot) {
-  ApproxDistance out;
-  if (mode_ != ScorerMode::kQuantized) {
-    out.value = DistanceToReference(key, slot);
-    out.bound = 0.0;
-    out.exact = true;
-    return out;
-  }
-  AF_CHECK(IsLive(slot));
-  auto it = references_.find(key);
-  AF_CHECK(it != references_.end()) << "score: unknown reference " << key;
-  Reference& ref = it->second;
-  // Reference distances change only when the reference does, so a cached
-  // exact answer beats re-approximating.
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  auto cached = s.ref_cache.find(key);
-  if (cached != s.ref_cache.end() && cached->second.first == ref.epoch) {
-    ref_dist_cached_->Increment();
-    out.value = cached->second.second;
-    out.bound = 0.0;
-    out.exact = true;
-    return out;
-  }
-  if (!ref.quantized_valid) {
-    ref.quantized = Quantize(ref.estimate);
-    ref.quantized_valid = true;
-  }
-  const QuantizedVec& qs = SlotQuantized(slot);
-  const double dot = ApproxDot(ref.quantized, qs);
-  const double dot_bound = DotErrorBound(ref.quantized, qs);
-  const double d2 = SquaredDistanceFromParts(ref.sq_norm, SquaredNorm(slot),
-                                             dot);
-  const double d2_bound = 2.0 * dot_bound;  // the only approximated term
-  const double value = std::sqrt(d2);
-  // |√x − √x̂| ≤ |x − x̂| / (√x + √x̂); with the true d unknown, fall back to
-  // the conservative √bound when the approximation sits near zero.
-  const double bound =
-      value > 0.0 ? d2_bound / value : std::sqrt(d2_bound);
-  approx_dist_->Increment();
-  out.value = value;
-  out.bound = bound;
-  out.exact = false;
-  return out;
 }
 
 }  // namespace score

@@ -14,19 +14,10 @@
 // StreamingScorer owns those caches and keeps them consistent across buffer
 // mutations: Insert computes one new norm plus (when the pairwise plane is
 // active) one new Gram row — a rank-1 add; Evict drops a row/column; a
-// reference update invalidates exactly the distances derived from it. The
-// exact backend answers every query by recomputing the *same formula* from
-// scratch, so the two modes are bit-identical by construction and differ only
-// in work — the property the tests in tests/score/ pin down and the
-// AF_SCORER switch relies on.
-//
-// Modes (AF_SCORER=exact|incremental|quantized, default incremental):
-//   exact        no caching; every query recomputes. The audit baseline.
-//   incremental  norms/Gram/reference distances cached across mutations.
-//   quantized    incremental, plus an int8 candidate fast path: approximate
-//                distances carry a certified error bound so callers can keep
-//                clear-cut verdicts cheap and exactly rescore only the
-//                borderline updates (score/quantized.h).
+// reference update invalidates exactly the distances derived from it. Every
+// answer is bit-identical to recomputing the same formula from scratch
+// through tensor::kernels::{SumSquares, Dot}; the property tests in
+// tests/score/ check that against a test-local exact oracle.
 //
 // Lifetime contract: Insert borrows the caller's float storage — the span
 // must stay valid until the slot is evicted, the scorer is cleared, or the
@@ -39,11 +30,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <span>
 #include <vector>
-
-#include "score/quantized.h"
 
 namespace obs {
 class Counter;
@@ -52,29 +40,14 @@ class Gauge;
 
 namespace score {
 
-enum class ScorerMode { kExact, kIncremental, kQuantized };
-
-const char* ScorerModeName(ScorerMode mode);
-
-// AF_SCORER environment switch; unknown values fall back to the default
-// (incremental) — misconfiguration must never change verdicts, only speed.
-ScorerMode ScorerModeFromEnv();
-
-// Test hook: overrides ScorerModeFromEnv() process-wide until cleared with
-// std::nullopt. Lets equivalence tests drive both backends through code that
-// constructs scorers from the environment.
-void SetScorerModeOverrideForTest(std::optional<ScorerMode> mode);
-
 class StreamingScorer {
  public:
-  explicit StreamingScorer(ScorerMode mode = ScorerModeFromEnv());
-
-  ScorerMode mode() const { return mode_; }
+  StreamingScorer();
 
   // --- Buffer mutations -----------------------------------------------
   // Borrows `delta` (see the lifetime contract above); returns the slot id
-  // used by every query. O(d) in incremental mode (one norm) plus O(n·d)
-  // for the new Gram row when the pairwise plane is active.
+  // used by every query. O(d) for the norm, plus O(n·d) for the new Gram
+  // row when the pairwise plane is active.
   int Insert(std::span<const float> delta);
 
   // Rebinds a live slot to new storage holding the SAME contents (a
@@ -103,8 +76,8 @@ class StreamingScorer {
   std::vector<std::uint64_t> ReferenceKeys() const;
   void ClearReferences();
 
-  // --- Queries: identical bits in every mode --------------------------
-  double SquaredNorm(int slot);
+  // --- Queries ----------------------------------------------------------
+  double SquaredNorm(int slot) const;
   double Dot(int a, int b);
   // ‖ω_a − ω_b‖² via the Gram identity, clamped at 0 (cancellation can
   // leave a tiny negative); 0 when a == b.
@@ -112,25 +85,11 @@ class StreamingScorer {
   // ‖ref − ω‖ via the same identity.
   double DistanceToReference(std::uint64_t key, int slot);
 
-  // --- Quantized candidate fast path (kQuantized) ---------------------
-  // Approximate distance-to-reference with a certified error bound:
-  // |value − exact| ≤ bound always holds. In non-quantized modes this
-  // degrades to the exact answer with bound 0 (exact == true), so callers
-  // can use one code path unconditionally.
-  struct ApproxDistance {
-    double value = 0.0;
-    double bound = 0.0;
-    bool exact = false;
-  };
-  ApproxDistance ApproxDistanceToReference(std::uint64_t key, int slot);
-
  private:
   struct Slot {
     std::span<const float> delta;
     bool live = false;
-    // Caches (incremental/quantized only).
-    double sq_norm = 0.0;
-    bool sq_norm_valid = false;
+    double sq_norm = 0.0;  // computed once, at Insert
     // Gram row vs other slots, indexed by slot id; valid entries tracked by
     // the epoch the row entry was written at vs the column slot's epoch.
     std::vector<double> gram;
@@ -138,26 +97,18 @@ class StreamingScorer {
     std::uint64_t epoch = 0;  // bumped on (re)insert
     // key → (reference epoch, distance).
     std::map<std::uint64_t, std::pair<std::uint64_t, double>> ref_cache;
-    QuantizedVec quantized;  // kQuantized only
-    bool quantized_valid = false;
   };
 
   struct Reference {
     std::span<const float> estimate;
     double sq_norm = 0.0;
     std::uint64_t epoch = 0;
-    QuantizedVec quantized;
-    bool quantized_valid = false;
   };
 
-  bool caching() const { return mode_ != ScorerMode::kExact; }
-  double ComputeSquaredNorm(const Slot& s) const;
   double ComputeDot(const Slot& a, const Slot& b) const;
-  double ComputeReferenceDistance(const Reference& ref, Slot& s);
+  double ComputeReferenceDistance(const Reference& ref, const Slot& s) const;
   void ActivatePairwise();
-  const QuantizedVec& SlotQuantized(int slot);
 
-  ScorerMode mode_;
   std::vector<Slot> slots_;
   std::vector<int> free_slots_;
   std::size_t live_count_ = 0;
@@ -171,7 +122,6 @@ class StreamingScorer {
   obs::Counter* evicts_;
   obs::Counter* ref_dist_computed_;
   obs::Counter* ref_dist_cached_;
-  obs::Counter* approx_dist_;
   obs::Gauge* slots_gauge_;
 };
 

@@ -6,6 +6,7 @@
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/serial.h"
 
 namespace core {
 namespace {
@@ -248,6 +249,63 @@ TEST_F(AsyncFilterTest, WeightedAggregateUsesSampleCounts) {
   AggregationResult result = filter.Process(Context(), updates);
   ASSERT_FALSE(result.aggregated_delta.empty());
   EXPECT_NEAR(result.aggregated_delta[0], 0.1f, 0.02f);
+}
+
+// The warm-start centroids checkpoint as a U64 count and one length-1
+// DoubleVec per centroid (the layout of earlier N-D checkpoints, so those
+// keep loading), and a load/save cycle reproduces the bytes exactly.
+TEST_F(AsyncFilterTest, WarmCentroidsCheckpointAsLengthOneVectors) {
+  AsyncFilter filter;
+  filter.Process(Context(0), MixedBuffer(10, 3));
+  util::serial::Writer w;
+  filter.SaveState(w);
+  const std::vector<std::uint8_t> bytes = w.Take();
+
+  util::serial::Reader r(bytes);
+  MovingAverageBank bank;
+  bank.Load(r);
+  EXPECT_EQ(r.U64(), 0u);  // empty deferral ledger
+  ASSERT_EQ(r.U64(), 3u);
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_EQ(r.DoubleVec().size(), 1u);
+  }
+  EXPECT_TRUE(r.AtEnd());
+
+  AsyncFilter resumed;
+  util::serial::Reader again(bytes);
+  resumed.LoadState(again);
+  util::serial::Writer w2;
+  resumed.SaveState(w2);
+  EXPECT_EQ(w2.Take(), bytes);
+}
+
+// A restored filter takes the same warm clustering branch as the live one:
+// identical results, and neither draws from its (differently seeded) RNG.
+TEST_F(AsyncFilterTest, ResumedFilterTakesIdenticalWarmBranch) {
+  AsyncFilter live;
+  live.Process(Context(0), MixedBuffer(10, 3, 4));
+  util::serial::Writer w;
+  live.SaveState(w);
+  const std::vector<std::uint8_t> bytes = w.Take();
+  AsyncFilter resumed;
+  util::serial::Reader r(bytes);
+  resumed.LoadState(r);
+
+  const auto next = MixedBuffer(10, 3, 5);
+  std::mt19937_64 rng_a(29);
+  std::mt19937_64 rng_b(31);
+  const std::mt19937_64 before_a = rng_a;
+  const std::mt19937_64 before_b = rng_b;
+  FilterContext ctx_a = Context(1);
+  ctx_a.rng = &rng_a;
+  FilterContext ctx_b = Context(1);
+  ctx_b.rng = &rng_b;
+  const AggregationResult from_live = live.Process(ctx_a, next);
+  const AggregationResult from_resumed = resumed.Process(ctx_b, next);
+  EXPECT_EQ(from_live.scores, from_resumed.scores);
+  EXPECT_EQ(from_live.verdicts, from_resumed.verdicts);
+  EXPECT_EQ(rng_a, before_a);
+  EXPECT_EQ(rng_b, before_b);
 }
 
 }  // namespace

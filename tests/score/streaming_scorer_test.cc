@@ -1,15 +1,15 @@
-// Property tests for the streaming scorer: the incremental backend must be
-// bit-identical to the exact backend after EVERY mutation in arbitrary
-// insert/evict/reference-update sequences — the contract the AF_SCORER
-// switch rests on.
+// Property tests for the streaming scorer: its cached answers must be
+// bit-identical to the exact oracle (tests/score/exact_oracle.h) after EVERY
+// mutation in arbitrary insert/evict/reference-update sequences.
 #include "score/scorer.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <random>
 #include <vector>
+
+#include "exact_oracle.h"
 
 namespace score {
 namespace {
@@ -23,24 +23,8 @@ std::vector<float> RandomVec(std::mt19937_64& rng, std::size_t dim) {
   return v;
 }
 
-TEST(ScorerModeTest, NamesRoundTrip) {
-  EXPECT_STREQ(ScorerModeName(ScorerMode::kExact), "exact");
-  EXPECT_STREQ(ScorerModeName(ScorerMode::kIncremental), "incremental");
-  EXPECT_STREQ(ScorerModeName(ScorerMode::kQuantized), "quantized");
-}
-
-TEST(ScorerModeTest, TestOverrideWinsOverEnvironment) {
-  SetScorerModeOverrideForTest(ScorerMode::kExact);
-  EXPECT_EQ(ScorerModeFromEnv(), ScorerMode::kExact);
-  SetScorerModeOverrideForTest(ScorerMode::kQuantized);
-  EXPECT_EQ(ScorerModeFromEnv(), ScorerMode::kQuantized);
-  SetScorerModeOverrideForTest(std::nullopt);
-  // Default (no AF_SCORER in the test environment): incremental.
-  EXPECT_EQ(ScorerModeFromEnv(), ScorerMode::kIncremental);
-}
-
 TEST(StreamingScorerTest, SlotLifecycleAndRecycling) {
-  StreamingScorer scorer(ScorerMode::kIncremental);
+  StreamingScorer scorer;
   std::mt19937_64 rng(1);
   auto a = RandomVec(rng, 16);
   auto b = RandomVec(rng, 16);
@@ -60,7 +44,7 @@ TEST(StreamingScorerTest, SlotLifecycleAndRecycling) {
 }
 
 TEST(StreamingScorerTest, ReattachKeepsCachedAnswers) {
-  StreamingScorer scorer(ScorerMode::kIncremental);
+  StreamingScorer scorer;
   std::mt19937_64 rng(2);
   auto a = RandomVec(rng, 64);
   auto ref = RandomVec(rng, 64);
@@ -77,7 +61,7 @@ TEST(StreamingScorerTest, ReattachKeepsCachedAnswers) {
 }
 
 TEST(StreamingScorerTest, ReferenceReplacementInvalidatesCachedDistances) {
-  StreamingScorer scorer(ScorerMode::kIncremental);
+  StreamingScorer scorer;
   std::mt19937_64 rng(3);
   auto a = RandomVec(rng, 32);
   auto ref1 = RandomVec(rng, 32);
@@ -88,38 +72,33 @@ TEST(StreamingScorerTest, ReferenceReplacementInvalidatesCachedDistances) {
   scorer.SetReference(1, ref2);
   const double d2 = scorer.DistanceToReference(1, slot);
   EXPECT_NE(d1, d2);
-  // And the fresh answer matches an exact scorer on the same state.
-  StreamingScorer exact(ScorerMode::kExact);
-  const int es = exact.Insert(a);
-  exact.SetReference(1, ref2);
-  EXPECT_EQ(exact.DistanceToReference(1, es), d2);
+  // And the fresh answer matches the exact oracle on the new reference.
+  EXPECT_EQ(oracle::Distance(ref2, a), d2);
 }
 
 TEST(StreamingScorerTest, SelfDistanceIsExactlyZero) {
-  StreamingScorer scorer(ScorerMode::kIncremental);
+  StreamingScorer scorer;
   std::mt19937_64 rng(4);
   auto a = RandomVec(rng, 128);
   const int slot = scorer.Insert(a);
   EXPECT_EQ(scorer.PairwiseSquaredDistance(slot, slot), 0.0);
 }
 
-// The tentpole property: drive exact and incremental scorers through the
-// same randomized mutation sequence and demand bit equality on every query
-// after every mutation.
+// The core property: drive the scorer through a randomized mutation
+// sequence and demand bit equality with the oracle on every query after
+// every mutation.
 TEST(StreamingScorerPropertyTest, IncrementalMatchesExactOnRandomSequences) {
   constexpr std::size_t kDim = 48;
   constexpr std::size_t kRefs = 4;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     std::mt19937_64 rng(1000 + seed);
-    StreamingScorer exact(ScorerMode::kExact);
-    StreamingScorer incremental(ScorerMode::kIncremental);
+    StreamingScorer incremental;
 
-    // storage[slot] owns the floats both scorers borrow for that slot.
+    // storage[slot] owns the floats the scorer borrows for that slot.
     std::map<int, std::vector<float>> storage;
     std::vector<std::vector<float>> refs;
     for (std::size_t k = 0; k < kRefs; ++k) {
       refs.push_back(RandomVec(rng, kDim));
-      exact.SetReference(k, refs.back());
       incremental.SetReference(k, refs.back());
     }
 
@@ -128,17 +107,14 @@ TEST(StreamingScorerPropertyTest, IncrementalMatchesExactOnRandomSequences) {
       const double roll = std::uniform_real_distribution<double>(0, 1)(rng);
       if (live.empty() || (roll < 0.55 && live.size() < 24)) {
         auto v = RandomVec(rng, kDim);
-        const int se = exact.Insert(v);
-        storage[se] = std::move(v);
-        const int si = incremental.Insert(storage[se]);
-        ASSERT_EQ(se, si);  // identical free-list behaviour
-        exact.Reattach(se, storage[se]);
-        live.push_back(se);
+        const int slot = incremental.Insert(v);
+        storage[slot] = std::move(v);
+        incremental.Reattach(slot, storage[slot]);
+        live.push_back(slot);
       } else if (roll < 0.8) {
         const std::size_t pick = std::uniform_int_distribution<std::size_t>(
             0, live.size() - 1)(rng);
         const int slot = live[pick];
-        exact.Evict(slot);
         incremental.Evict(slot);
         storage.erase(slot);
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
@@ -146,60 +122,31 @@ TEST(StreamingScorerPropertyTest, IncrementalMatchesExactOnRandomSequences) {
         const std::size_t k =
             std::uniform_int_distribution<std::size_t>(0, kRefs - 1)(rng);
         refs[k] = RandomVec(rng, kDim);
-        exact.SetReference(k, refs[k]);
         incremental.SetReference(k, refs[k]);
       }
 
-      ASSERT_EQ(exact.size(), incremental.size());
+      ASSERT_EQ(incremental.size(), live.size());
       for (int a : live) {
-        ASSERT_EQ(incremental.SquaredNorm(a), exact.SquaredNorm(a))
+        const std::vector<float>& va = storage.at(a);
+        ASSERT_EQ(incremental.SquaredNorm(a), oracle::SquaredNorm(va))
             << "seed " << seed << " step " << step;
         for (std::size_t k = 0; k < kRefs; ++k) {
           ASSERT_EQ(incremental.DistanceToReference(k, a),
-                    exact.DistanceToReference(k, a))
+                    oracle::Distance(refs[k], va))
               << "seed " << seed << " step " << step;
         }
         for (int b : live) {
-          ASSERT_EQ(incremental.Dot(a, b), exact.Dot(a, b))
+          const std::vector<float>& vb = storage.at(b);
+          // A slot's self-dot is its cached norm; its self-distance is 0.
+          ASSERT_EQ(incremental.Dot(a, b), a == b ? oracle::SquaredNorm(va)
+                                                  : oracle::Dot(va, vb))
               << "seed " << seed << " step " << step;
           ASSERT_EQ(incremental.PairwiseSquaredDistance(a, b),
-                    exact.PairwiseSquaredDistance(a, b))
+                    a == b ? 0.0 : oracle::SquaredDistance(va, vb))
               << "seed " << seed << " step " << step;
         }
       }
     }
-  }
-}
-
-TEST(StreamingScorerTest, ApproxDistanceDegradesToExactOutsideQuantizedMode) {
-  StreamingScorer scorer(ScorerMode::kIncremental);
-  std::mt19937_64 rng(5);
-  auto a = RandomVec(rng, 64);
-  auto ref = RandomVec(rng, 64);
-  const int slot = scorer.Insert(a);
-  scorer.SetReference(0, ref);
-  const auto approx = scorer.ApproxDistanceToReference(0, slot);
-  EXPECT_TRUE(approx.exact);
-  EXPECT_EQ(approx.bound, 0.0);
-  EXPECT_EQ(approx.value, scorer.DistanceToReference(0, slot));
-}
-
-TEST(StreamingScorerTest, QuantizedApproxDistanceIsWithinCertifiedBound) {
-  std::mt19937_64 rng(6);
-  for (int trial = 0; trial < 20; ++trial) {
-    StreamingScorer quant(ScorerMode::kQuantized);
-    StreamingScorer exact(ScorerMode::kExact);
-    auto a = RandomVec(rng, 257);  // odd size exercises the unroll tail
-    auto ref = RandomVec(rng, 257);
-    const int qs = quant.Insert(a);
-    const int es = exact.Insert(a);
-    quant.SetReference(0, ref);
-    exact.SetReference(0, ref);
-    const auto approx = quant.ApproxDistanceToReference(0, qs);
-    const double truth = exact.DistanceToReference(0, es);
-    EXPECT_FALSE(approx.exact);
-    EXPECT_LE(std::fabs(approx.value - truth), approx.bound)
-        << "trial " << trial;
   }
 }
 
