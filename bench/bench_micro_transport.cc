@@ -148,7 +148,7 @@ LaneResult RunTcp(std::size_t updates, const std::vector<float>& delta) {
     net::RetryConfig retry;
     retry.max_attempts = 10;
     net::Connection conn = net::ConnectWithRetry(server.port(), retry, 99);
-    conn.SendFrame(net::EncodeAck({1}), 5000);
+    conn.SendFrame(net::EncodeHello({{1}}), 5000);
 
     // One encode, streamed `updates` times with a bumped job_index — the
     // measurement targets the transport, not the serializer.

@@ -19,17 +19,18 @@
 // Distributed mode (see docs/NETWORK.md; parsed via fl::RuntimeOptions):
 //   --transport       inproc | tcp                        [inproc]
 //   --port            server port (tcp; 0 = ephemeral loopback)
-//   --clients-virtual run the fleet as a multiplexed virtual-client pool
-//                     instead of one thread+connection per client — this is
-//                     what makes 100k+ client populations fit on one box
 //   --pool-connections, --pool-workers
-//                     virtual-pool shape (0 = auto: ~1 connection per 64
-//                     clients / one worker per core)
+//                     client-pool shape: the fleet is multiplexed over a
+//                     few connections and a worker crew, which is what
+//                     makes 100k+ client populations fit on one box
+//                     (0 = auto: ~1 connection per 64 clients, or one per
+//                     client when a --fault-* flag is set / one worker per
+//                     core)
 //   --pool-latency-ms, --pool-latency-zipf
 //                     per-client artificial latency model (timing only)
 //   --fault-drop, --fault-delay, --fault-duplicate, --fault-truncate
 //                     per-frame fault probabilities on client uplinks
-//                     (real fleet only)
+//                     (truncate closes the connection carrying the client)
 //   --fault-delay-ms  mean injected delay in milliseconds
 //   --fault-kill      fraction of clients whose connection dies mid-run
 //   --compress        identity | fp16 | int8 | topk-delta   [none]

@@ -34,7 +34,7 @@
 //   --transport KIND     inproc | tcp                          [inproc]
 //                        (checkpoint/resume only works inproc; tcp
 //                        cells restart from scratch when killed)
-//   --clients-virtual, --pool-connections, --pool-workers,
+//   --pool-connections, --pool-workers,
 //   --pool-latency-ms, --pool-latency-zipf, --port,
 //   --fault-*            see run_experiment.cpp
 //   --metrics-port N     serve /metrics, /healthz, /spans over HTTP on

@@ -16,6 +16,7 @@
 // engine and real libFuzzer report as a crash with the input saved.
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -69,8 +70,7 @@ void Pump(World& world, int ticks) {
 // TraceOffer the server queues in response.
 void CompleteHandshake(World& world, net::Connection& conn, int client_id,
                        const std::string& codec) {
-  conn.SendFrame(net::EncodeAck({static_cast<std::uint64_t>(client_id)}),
-                 1000);
+  conn.SendFrame(net::EncodeHello({{client_id}}), 1000);
   bool codec_done = false;
   bool trace_done = false;
   for (int i = 0; i < 200 && !(codec_done && trace_done); ++i) {
@@ -121,7 +121,8 @@ void RunWellFormedSession(World& world) {
     net::Frame frame;
     if (conn.TryRecvFrame(&frame, 5) == net::Connection::RecvStatus::kFrame &&
         frame.type == net::MessageType::kAck) {
-      acked = net::DecodeAck(frame).value == update.job_index;
+      const net::AckMsg ack = net::DecodeAck(frame);
+      acked = ack.client_id == id && ack.job_index == update.job_index;
     }
   }
   if (!acked) {
@@ -133,10 +134,10 @@ void RunWellFormedSession(World& world) {
   }
 }
 
-// Multiplexed flavor: one connection announces two client ids with a
-// kHello, negotiates once, and must get a per-copy ack for each id's
-// update — proving the adversarial stream didn't corrupt the session
-// layer's mux bookkeeping either.
+// Multiplexed flavor: one connection announces two client ids in its
+// hello, negotiates once, and must get an ack naming each id's update —
+// proving the adversarial stream didn't corrupt the session layer's mux
+// bookkeeping either.
 void RunMuxSession(World& world) {
   const int id_a = static_cast<int>(world.next_session_id++);
   const int id_b = static_cast<int>(world.next_session_id++);
@@ -168,10 +169,10 @@ void RunMuxSession(World& world) {
        ++i) {
     world.server.PollOnce(1);
   }
-  if (!world.server.IsMultiplexed(id_a) || !world.server.IsMultiplexed(id_b)) {
-    throw std::runtime_error("invariant: mux session not marked multiplexed");
+  if (!world.server.IsConnected(id_a) || !world.server.IsConnected(id_b)) {
+    throw std::runtime_error("invariant: mux session did not bind both ids");
   }
-  int acked = 0;
+  std::set<int> acked;
   for (int id : {id_a, id_b}) {
     net::ClientUpdateMsg update;
     update.client_id = id;
@@ -180,17 +181,19 @@ void RunMuxSession(World& world) {
     update.delta = {0.5f};
     conn.SendFrame(net::EncodeClientUpdate(update), 1000);
   }
-  for (int i = 0; i < 400 && acked < 2; ++i) {
+  for (int i = 0; i < 400 && acked.size() < 2; ++i) {
     world.server.PollOnce(1);
     net::Frame frame;
     if (conn.TryRecvFrame(&frame, 5) == net::Connection::RecvStatus::kFrame &&
-        frame.type == net::MessageType::kAck &&
-        net::DecodeAck(frame).value == 2) {
-      ++acked;
+        frame.type == net::MessageType::kAck) {
+      const net::AckMsg ack = net::DecodeAck(frame);
+      if (ack.job_index == 2) {
+        acked.insert(ack.client_id);
+      }
     }
   }
-  if (acked != 2) {
-    throw std::runtime_error("invariant: mux updates not acked per copy");
+  if (acked != std::set<int>{id_a, id_b}) {
+    throw std::runtime_error("invariant: mux updates not acked per client");
   }
   conn.Close();
   for (int i = 0; i < 50 && world.server.IsConnected(id_a); ++i) {

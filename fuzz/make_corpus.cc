@@ -110,9 +110,10 @@ void MakeAfckSeeds(const fs::path& dir) {
 void MakeFrameSeeds(const fs::path& dir) {
   const std::vector<float> params = Ramp(8);
 
-  WriteSeed(dir, "hello", net::EncodeFrame(net::EncodeAck({1})));
-  WriteSeed(dir, "hello_wide",
-            net::EncodeFrame(net::EncodeAck({0xFFFFFFFFull})));
+  WriteSeed(dir, "hello", net::EncodeFrame(net::EncodeHello({{1}})));
+  WriteSeed(dir, "hello_mux",
+            net::EncodeFrame(net::EncodeHello({{0, 4, 8, 12}})));
+  WriteSeed(dir, "ack", net::EncodeFrame(net::EncodeAck({3, 7})));
   WriteSeed(dir, "codec_offer",
             net::EncodeFrame(net::EncodeCodecOffer({{"fp16", "int8"}})));
   WriteSeed(dir, "codec_select",
@@ -146,7 +147,7 @@ void MakeFrameSeeds(const fs::path& dir) {
 
   // Two frames back to back (the stream decoder loops), and a bare prefix
   // (DecodeFrame must report "incomplete", not throw).
-  std::vector<std::uint8_t> pair = net::EncodeFrame(net::EncodeAck({5}));
+  std::vector<std::uint8_t> pair = net::EncodeFrame(net::EncodeHello({{5}}));
   Append(pair, net::EncodeFrame(net::EncodeClientUpdate(update)));
   WriteSeed(dir, "two_frames", pair);
   const std::vector<std::uint8_t> whole =
@@ -163,17 +164,22 @@ void MakeServerSessionSeeds(const fs::path& dir) {
   update.base_round = 0;
   update.num_samples = 10;
   update.delta = Ramp(6);
-  std::vector<std::uint8_t> good = net::EncodeFrame(net::EncodeAck({5}));
+  std::vector<std::uint8_t> good = net::EncodeFrame(net::EncodeHello({{5}}));
   Append(good, net::EncodeFrame(net::EncodeCodecSelect({"identity"})));
   Append(good, net::EncodeFrame(net::EncodeTraceSelect({false})));
   Append(good, net::EncodeFrame(net::EncodeClientUpdate(update)));
   WriteSeed(dir, "full_session", good);
 
-  // Hellos with hostile id values (the truncating-cast surface).
-  WriteSeed(dir, "hello_neg",
-            net::EncodeFrame(net::EncodeAck({0xFFFFFFFFull})));
-  WriteSeed(dir, "hello_wrap",
-            net::EncodeFrame(net::EncodeAck({0x100000001ull})));
+  // Hellos with hostile id lists: a negative id (EncodeHello refuses to
+  // build one, so the payload is hand-rolled) and a repeated id.
+  net::Frame negative;
+  negative.type = net::MessageType::kHello;
+  for (std::uint8_t b : {1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}) {
+    negative.payload.push_back(b);  // count 1, id -1
+  }
+  WriteSeed(dir, "hello_neg", net::EncodeFrame(negative));
+  WriteSeed(dir, "hello_repeat",
+            net::EncodeFrame(net::EncodeHello({{5, 5}})));
 
   // An update before any handshake (must evict only the sender).
   WriteSeed(dir, "update_first",

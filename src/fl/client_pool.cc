@@ -10,8 +10,9 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
+#include <queue>
 #include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 
@@ -29,11 +30,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+Clock::duration Millis(double ms) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(ms));
+}
+
 }  // namespace
 
-int ResolvePoolConnections(int requested, int num_clients) {
+int ResolvePoolConnections(int requested, int num_clients,
+                           bool faults_armed) {
   if (requested > 0) {
     return std::min(requested, std::max(num_clients, 1));
+  }
+  if (faults_armed) {
+    return std::max(num_clients, 1);
   }
   const int by_fleet = (std::max(num_clients, 1) + 63) / 64;
   return std::clamp(by_fleet, 1, 256);
@@ -132,17 +142,68 @@ int VirtualClientEngine::worker_count() const {
 
 namespace {
 
-// One pool connection: the socket plus its read scratch and the outbox the
-// engine workers fill. `out` is the only cross-thread state (out_mu).
+// One pool connection: the socket, its read scratch and its outbox. Owned
+// by the pump thread after Start(); engine workers never touch it.
 struct PoolConn {
-  net::Connection conn;
-  const compress::Codec* codec = nullptr;  // set by pump before any job
-  bool done = false;                       // saw Shutdown or EOF
+  // Queued bytes. Update bytes are shared with the client that holds them
+  // for resends, so queueing (or duplicating) a frame copies nothing.
+  struct Segment {
+    std::shared_ptr<const std::vector<std::uint8_t>> bytes;
+    std::size_t size = 0;  // a prefix of *bytes (truncation sends half)
+  };
+
+  net::Connection conn;  // closed → the connection is done
+  const compress::Codec* codec = nullptr;  // set by the handshake
   std::vector<std::uint8_t> in;
   std::size_t in_offset = 0;
-  std::mutex out_mu;
-  std::vector<std::uint8_t> out;
-  std::size_t out_offset = 0;
+  std::deque<Segment> out;
+  std::size_t out_offset = 0;  // sent prefix of out.front()
+  // Running byte totals. An update counts as sent — and its ack clock
+  // starts — once bytes_sent reaches the bytes_queued mark taken when it
+  // was queued.
+  std::uint64_t bytes_queued = 0;
+  std::uint64_t bytes_sent = 0;
+
+  bool done() const { return !conn.open(); }
+};
+
+// Where a client's held update is in its send/ack cycle.
+enum class Uplink {
+  kIdle,      // nothing held
+  kDelayed,   // injected delay; queue the bytes when due
+  kBackoff,   // ack timed out; the next attempt runs when due
+  kAwaiting,  // sent (or dropped); resend unless acked by `due`
+};
+
+// One simulated client. Pump-owned, except `feedback`, which belongs to
+// whichever engine worker runs the client's current job (a client's jobs
+// never overlap).
+struct VirtualClient {
+  PoolConn* conn = nullptr;
+  double latency_ms = 0.0;
+  compress::FeedbackState feedback;
+  bool busy = false;  // a job is training or its update awaits an ack
+  Uplink uplink = Uplink::kIdle;
+  std::shared_ptr<const std::vector<std::uint8_t>> update;  // held bytes
+  std::uint64_t job_index = 0;  // of the held update
+  int attempt = 0;
+  std::uint64_t frames_sent = 0;  // data frames, for the kill schedule
+  std::uint64_t sent_mark = 0;    // conn->bytes_queued after this attempt
+  Clock::time_point due;
+  // Null when no fault is armed: a quiet injector always delivers, and
+  // skipping it keeps 100k-client fleets from carrying 2.5 KB of RNG each.
+  std::unique_ptr<net::FaultInjector> injector;
+  // Built on the first resend; Reset() draws nothing, so the delays match
+  // a schedule built up front.
+  std::unique_ptr<net::BackoffSchedule> backoff;
+};
+
+// A job's result handed from an engine worker to the pump. `update` is
+// null when the job threw.
+struct Finished {
+  int client_id = -1;
+  std::uint64_t job_index = 0;
+  std::shared_ptr<const std::vector<std::uint8_t>> update;
 };
 
 }  // namespace
@@ -154,31 +215,35 @@ struct VirtualClientPool::Impl {
 
   net::Reactor reactor;  // owned by the pump thread after Start()
   std::vector<std::unique_ptr<PoolConn>> conns;
-  std::vector<PoolConn*> by_fd_sparse;  // index: fd → conn (bounded, dense)
-  std::vector<compress::FeedbackState> feedback;  // one per client id
-  std::vector<double> latency_ms;                 // one per client id
+  std::vector<PoolConn*> by_fd;  // index: fd → conn (bounded, dense)
+  std::vector<VirtualClient> clients;
+  // FedBuff may dispatch several outstanding jobs to one client; jobs that
+  // arrive while the client is busy wait here, in arrival order, so
+  // error-feedback codecs see the same residual sequence as inproc.
+  std::unordered_map<int, std::deque<VirtualJob>> backlog;
+  // Pending sends and ack deadlines, earliest first. Entries go stale when
+  // the client moves on; a fired entry counts only if it still matches the
+  // client's `due`.
+  using Timer = std::pair<Clock::time_point, int>;
+  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers;
   std::unique_ptr<VirtualClientEngine> engine;
   std::thread pump;
   std::atomic<bool> stop{false};
   std::atomic<bool> started{false};
 
-  // Per-client serialization: FedBuff may dispatch several outstanding jobs
-  // to one client (the real fleet serializes them on the client's socket).
-  // A client's jobs must not run concurrently — TrainOnce reuses the
-  // client's model buffers — and must encode in arrival order so
-  // error-feedback codecs see the same residual sequence as a real worker.
-  // busy[c] marks a job running; later arrivals wait in backlog[c].
-  std::mutex sched_mu;
-  std::vector<std::uint8_t> client_busy;
-  std::unordered_map<int, std::deque<VirtualJob>> client_backlog;
+  // The one cross-thread hand-off: engine workers post results here.
+  std::mutex finished_mu;
+  std::vector<Finished> finished;
 
   obs::Counter& jobs = obs::DefaultRegistry().GetCounter("pool.jobs");
-  obs::Counter& acks_dropped =
-      obs::DefaultRegistry().GetCounter("pool.acks_ignored");
+  obs::Counter& resends =
+      obs::DefaultRegistry().GetCounter("net.update_resends");
+  obs::Counter& faults_injected = obs::DefaultRegistry().GetCounter(
+      "net.faults_injected", {{"kind", "any"}});
 
   PoolConn* FindConn(int fd) {
-    return fd >= 0 && fd < static_cast<int>(by_fd_sparse.size())
-               ? by_fd_sparse[static_cast<std::size_t>(fd)]
+    return fd >= 0 && fd < static_cast<int>(by_fd.size())
+               ? by_fd[static_cast<std::size_t>(fd)]
                : nullptr;
   }
 
@@ -187,48 +252,84 @@ struct VirtualClientPool::Impl {
   void PumpLoop() {
     util::SetThreadLogPrefix("pool");
     std::vector<net::ReactorEvent> events;
+    std::vector<Finished> batch;
     while (!stop.load(std::memory_order_relaxed)) {
       bool all_done = true;
       for (const auto& pc : conns) {
-        all_done = all_done && pc->done;
+        all_done = all_done && pc->done();
       }
       if (all_done) {
         break;
       }
       events.clear();
-      reactor.Wait(50, &events);
+      reactor.Wait(WaitBudgetMs(), &events);
       for (const net::ReactorEvent& event : events) {
         PoolConn* pc = FindConn(event.fd);
-        if (pc == nullptr || pc->done) {
-          continue;
+        if (pc == nullptr) {
+          continue;  // closed earlier in this batch
         }
         if (event.error) {
-          pc->done = true;
+          CloseConn(*pc, "socket error");
           continue;
         }
         if (event.readable || event.hangup) {
           ReadPoolConn(*pc);
         }
       }
+      {
+        std::lock_guard<std::mutex> lock(finished_mu);
+        batch.swap(finished);
+      }
+      for (Finished& done : batch) {
+        OnJobFinished(std::move(done));
+      }
+      batch.clear();
+      RunTimers();
       FlushOutboxes();
     }
     util::SetThreadLogPrefix("");
   }
 
+  // Sleep until the next timer, capped so a stop request is noticed.
+  int WaitBudgetMs() const {
+    if (timers.empty()) {
+      return 50;
+    }
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                          timers.top().first - Clock::now())
+                          .count();
+    return static_cast<int>(std::clamp<std::int64_t>(left, 0, 50));
+  }
+
+  // Every terminal condition (EOF, socket error, bad server input, a job
+  // that threw, an injected truncate or kill, an update that was never
+  // acked) ends here: the socket closes, so the server evicts every client
+  // on it, and the other connections carry on.
+  void CloseConn(PoolConn& pc, const char* reason) {
+    if (pc.done()) {
+      return;
+    }
+    const int fd = pc.conn.fd();
+    AF_LOG(kDebug) << "pool: closing connection (" << reason << ")";
+    reactor.Remove(fd);
+    by_fd[static_cast<std::size_t>(fd)] = nullptr;
+    pc.conn.Close();
+  }
+
   void ReadPoolConn(PoolConn& pc) {
-    while (true) {
+    while (!pc.done()) {
       std::uint8_t chunk[16384];
       const ssize_t n = ::recv(pc.conn.fd(), chunk, sizeof(chunk), 0);
       if (n == 0) {
         ProcessConnInbuf(pc);
-        pc.done = true;  // server closed
+        CloseConn(pc, "server closed");
         return;
       }
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
           break;
         }
-        pc.done = true;
+        CloseConn(pc, "recv failed");
         return;
       }
       pc.in.insert(pc.in.end(), chunk, chunk + n);
@@ -237,23 +338,24 @@ struct VirtualClientPool::Impl {
   }
 
   void ProcessConnInbuf(PoolConn& pc) {
-    while (!pc.done) {
-      net::FrameView frame;
-      std::size_t consumed = 0;
+    while (!pc.done()) {
+      // Malformed framing, a malformed typed payload and a broadcast the
+      // pool cannot route all throw; each closes this connection only.
       try {
-        consumed = net::DecodeFrameView(
+        net::FrameView frame;
+        const std::size_t consumed = net::DecodeFrameView(
             std::span<const std::uint8_t>(pc.in).subspan(pc.in_offset),
             &frame);
-      } catch (const util::CheckError& e) {
-        AF_LOG(kWarn) << "pool: malformed frame from server: " << e.what();
-        pc.done = true;
-        break;
+        if (consumed == 0) {
+          break;
+        }
+        pc.in_offset += consumed;
+        HandleServerFrame(pc, frame);
+      } catch (const std::exception& e) {
+        AF_LOG(kWarn) << "pool: bad input from server: " << e.what()
+                      << "; closing the connection";
+        CloseConn(pc, "bad server input");
       }
-      if (consumed == 0) {
-        break;
-      }
-      pc.in_offset += consumed;
-      HandleServerFrame(pc, frame);
     }
     if (pc.in_offset == pc.in.size()) {
       pc.in.clear();
@@ -268,13 +370,20 @@ struct VirtualClientPool::Impl {
   void HandleServerFrame(PoolConn& pc, const net::FrameView& frame) {
     switch (frame.type) {
       case net::MessageType::kShutdown:
-        pc.done = true;
+        CloseConn(pc, "shutdown");
         return;
-      case net::MessageType::kAck:
-        // Receipt for an update we sent exactly once over reliable TCP —
-        // nothing to retire.
-        acks_dropped.Increment();
-        return;
+      case net::MessageType::kAck: {
+        const net::AckMsg ack = net::DecodeAck(frame);
+        if (ack.client_id < 0 || ack.client_id >= options.num_clients) {
+          return;  // names no client of ours
+        }
+        VirtualClient& c = clients[static_cast<std::size_t>(ack.client_id)];
+        if (c.conn == &pc && c.uplink != Uplink::kIdle &&
+            c.job_index == ack.job_index) {
+          Retire(ack.client_id, c);
+        }
+        return;  // otherwise a stale receipt (duplicate, earlier job)
+      }
       case net::MessageType::kCodecOffer: {
         // Pick the first offered codec this build knows; identity otherwise.
         const net::CodecOfferMsg offer = net::DecodeCodecOffer(frame);
@@ -285,21 +394,24 @@ struct VirtualClientPool::Impl {
             break;
           }
         }
-        QueueToConn(pc, net::EncodeCodecSelect({pick}));
+        QueueFrame(pc, net::EncodeCodecSelect({pick}));
         const compress::Codec& selected = compress::Get(pick);
         pc.codec = compress::IsIdentity(selected) ? nullptr : &selected;
         return;
       }
       case net::MessageType::kTraceOffer:
         net::DecodeTraceOffer(frame);
-        QueueToConn(pc, net::EncodeTraceSelect({options.trace_context}));
+        QueueFrame(pc, net::EncodeTraceSelect({options.trace_context}));
         return;
       case net::MessageType::kModelBroadcast: {
         const net::ModelBroadcastMsg msg = net::DecodeModelBroadcast(frame);
         AF_CHECK_GE(msg.client_id, 0)
-            << "pool: broadcast without an AFVC client-id block";
+            << "broadcast without an AFVC client-id block";
         AF_CHECK_LT(msg.client_id, options.num_clients)
-            << "pool: broadcast for unknown client " << msg.client_id;
+            << "broadcast for unknown client " << msg.client_id;
+        VirtualClient& c = clients[static_cast<std::size_t>(msg.client_id)];
+        AF_CHECK(c.conn == &pc) << "broadcast for client " << msg.client_id
+                                << " on a connection that does not carry it";
         VirtualJob job;
         job.client_id = msg.client_id;
         job.job_index = msg.job_index;
@@ -309,16 +421,11 @@ struct VirtualClientPool::Impl {
         // Owned copy: the frame buffer is recycled as soon as we return.
         job.base.assign(msg.params.begin(), msg.params.end());
         jobs.Increment();
-        {
-          std::lock_guard<std::mutex> lock(sched_mu);
-          auto& busy =
-              client_busy[static_cast<std::size_t>(job.client_id)];
-          if (busy != 0) {
-            client_backlog[job.client_id].push_back(std::move(job));
-            return;
-          }
-          busy = 1;
+        if (c.busy) {
+          backlog[job.client_id].push_back(std::move(job));
+          return;
         }
+        c.busy = true;
         SubmitJob(pc, std::move(job));
         return;
       }
@@ -329,104 +436,256 @@ struct VirtualClientPool::Impl {
     }
   }
 
-  void QueueToConn(PoolConn& pc, const net::Frame& frame) {
-    std::lock_guard<std::mutex> lock(pc.out_mu);
-    net::AppendFrameBytes(pc.out, frame);
+  void Queue(PoolConn& pc,
+             std::shared_ptr<const std::vector<std::uint8_t>> bytes,
+             std::size_t size) {
+    pc.bytes_queued += size;
+    pc.out.push_back({std::move(bytes), size});
+  }
+
+  void QueueFrame(PoolConn& pc, const net::Frame& frame) {
+    auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
+        net::EncodeFrame(frame));
+    const std::size_t size = bytes->size();
+    Queue(pc, std::move(bytes), size);
+  }
+
+  void FlushConn(PoolConn& pc) {
+    while (!pc.out.empty()) {
+      const PoolConn::Segment& segment = pc.out.front();
+      const ssize_t n =
+          ::send(pc.conn.fd(), segment.bytes->data() + pc.out_offset,
+                 segment.size - pc.out_offset, MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+          break;  // kernel buffer full; retry when writable
+        }
+        CloseConn(pc, "send failed");
+        return;
+      }
+      pc.out_offset += static_cast<std::size_t>(n);
+      pc.bytes_sent += static_cast<std::uint64_t>(n);
+      if (pc.out_offset == segment.size) {
+        pc.out.pop_front();
+        pc.out_offset = 0;
+      }
+    }
+    reactor.SetWantWrite(pc.conn.fd(), !pc.out.empty());
   }
 
   void FlushOutboxes() {
     for (const auto& pc : conns) {
-      if (pc->done) {
-        continue;
+      if (!pc->done()) {
+        FlushConn(*pc);
       }
-      std::lock_guard<std::mutex> lock(pc->out_mu);
-      while (pc->out_offset < pc->out.size()) {
-        const ssize_t n =
-            ::send(pc->conn.fd(), pc->out.data() + pc->out_offset,
-                   pc->out.size() - pc->out_offset, MSG_NOSIGNAL);
-        if (n < 0) {
-          if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-            break;  // kernel buffer full; retry on the next wake
-          }
-          pc->done = true;
-          break;
-        }
-        pc->out_offset += static_cast<std::size_t>(n);
-      }
-      if (pc->out_offset == pc->out.size()) {
-        pc->out.clear();
-        pc->out_offset = 0;
-      }
-      reactor.SetWantWrite(pc->conn.fd(),
-                           !pc->done && pc->out_offset < pc->out.size());
     }
+  }
+
+  // --- uplink: hold, send through the injector, resend until acked -------
+
+  void OnJobFinished(Finished done) {
+    VirtualClient& c = clients[static_cast<std::size_t>(done.client_id)];
+    if (c.conn->done()) {
+      return;  // the connection died while the job trained
+    }
+    if (done.update == nullptr) {
+      CloseConn(*c.conn, "job failed");
+      return;
+    }
+    c.update = std::move(done.update);
+    c.job_index = done.job_index;
+    c.attempt = 0;
+    if (c.backoff != nullptr) {
+      c.backoff->Reset();  // each update starts a fresh retry cycle
+    }
+    Attempt(done.client_id, c);
+  }
+
+  void Arm(int client_id, VirtualClient& c, Uplink state,
+           Clock::time_point due) {
+    c.uplink = state;
+    c.due = due;
+    timers.emplace(due, client_id);
+  }
+
+  // Ack clock for the attempt just made; `mark` is the conn's byte total
+  // the attempt must reach before it counts as sent.
+  void AwaitAck(int client_id, VirtualClient& c, std::uint64_t mark) {
+    c.sent_mark = mark;
+    Arm(client_id, c, Uplink::kAwaiting,
+        Clock::now() + Millis(options.ack_timeout_ms));
+  }
+
+  // One send attempt of the held update. Injector draws happen here, one
+  // per data frame, on the pump thread — so each client's fault stream is
+  // a pure function of (seed, client, frame sequence).
+  void Attempt(int client_id, VirtualClient& c) {
+    PoolConn& pc = *c.conn;
+    net::FaultInjector* injector = c.injector.get();
+    // Doomed clients die after their allotted number of data frames.
+    if (injector != nullptr && injector->doomed() &&
+        c.frames_sent >= injector->kill_after_frame()) {
+      AF_LOG(kInfo) << "pool: fault injector killing client " << client_id
+                    << "'s connection";
+      CloseConn(pc, "fault injector kill");
+      return;
+    }
+    auto action = net::FaultInjector::Action::kDeliver;
+    if (injector != nullptr) {
+      action = injector->NextAction();
+      if (action != net::FaultInjector::Action::kDeliver) {
+        faults_injected.Increment();
+      }
+    }
+    ++c.frames_sent;
+    switch (action) {
+      case net::FaultInjector::Action::kDrop:
+        AwaitAck(client_id, c, 0);  // never hits the wire
+        return;
+      case net::FaultInjector::Action::kTruncate:
+        // A frame prefix then a hard close: the server sees a stream that
+        // dies mid-frame and evicts the connection.
+        Queue(pc, c.update, c.update->size() / 2);
+        FlushConn(pc);
+        CloseConn(pc, "fault injector truncate");
+        return;
+      case net::FaultInjector::Action::kDelay:
+        Arm(client_id, c, Uplink::kDelayed,
+            Clock::now() + Millis(injector->delay_ms()));
+        return;
+      case net::FaultInjector::Action::kDuplicate:
+        Queue(pc, c.update, c.update->size());
+        [[fallthrough]];
+      case net::FaultInjector::Action::kDeliver:
+        Queue(pc, c.update, c.update->size());
+        AwaitAck(client_id, c, pc.bytes_queued);
+        return;
+    }
+  }
+
+  void RunTimers() {
+    const auto now = Clock::now();
+    while (!timers.empty() && timers.top().first <= now) {
+      const auto [due, client_id] = timers.top();
+      timers.pop();
+      VirtualClient& c = clients[static_cast<std::size_t>(client_id)];
+      if (c.uplink == Uplink::kIdle || c.due != due || c.conn->done()) {
+        continue;  // stale: acked, re-armed, or the connection died
+      }
+      switch (c.uplink) {
+        case Uplink::kDelayed:
+          Queue(*c.conn, c.update, c.update->size());
+          AwaitAck(client_id, c, c.conn->bytes_queued);
+          break;
+        case Uplink::kBackoff:
+          Attempt(client_id, c);
+          break;
+        case Uplink::kAwaiting:
+          OnAckTimeout(client_id, c);
+          break;
+        case Uplink::kIdle:
+          break;
+      }
+    }
+  }
+
+  void OnAckTimeout(int client_id, VirtualClient& c) {
+    if (c.conn->bytes_sent < c.sent_mark) {
+      // Still queued behind other frames: the ack clock starts when the
+      // bytes leave, as it would for a blocking send.
+      AwaitAck(client_id, c, c.sent_mark);
+      return;
+    }
+    if (++c.attempt >= options.retry.max_attempts) {
+      AF_LOG(kWarn) << "pool: client " << client_id << " gave up on job "
+                    << c.job_index << " after " << options.retry.max_attempts
+                    << " attempts";
+      CloseConn(*c.conn, "update never acked");
+      return;
+    }
+    resends.Increment();
+    if (c.backoff == nullptr) {
+      // Decorrelated-jitter resend schedule, seeded per client so a fleet
+      // that stalls together fans back out instead of resending in
+      // lockstep.
+      c.backoff = std::make_unique<net::BackoffSchedule>(
+          options.retry, options.seed ^ (0xc0ffee123ull +
+                                         static_cast<std::uint64_t>(client_id)));
+    }
+    Arm(client_id, c, Uplink::kBackoff,
+        Clock::now() + Millis(c.backoff->NextDelayMs()));
+  }
+
+  // The held update was acked: release it and start the client's next
+  // backlogged job, if any.
+  void Retire(int client_id, VirtualClient& c) {
+    c.uplink = Uplink::kIdle;
+    c.update.reset();
+    auto it = backlog.find(client_id);
+    if (it == backlog.end()) {
+      c.busy = false;
+      return;
+    }
+    VirtualJob next = std::move(it->second.front());
+    it->second.pop_front();
+    if (it->second.empty()) {
+      backlog.erase(it);
+    }
+    SubmitJob(*c.conn, std::move(next));
   }
 
   // --- engine side ------------------------------------------------------
 
-  void SubmitJob(PoolConn& pc, VirtualJob job) {
-    PoolConn* conn_ptr = &pc;
-    engine->Submit([this, conn_ptr, job = std::move(job)]() mutable {
-      RunJob(*conn_ptr, std::move(job));
+  void SubmitJob(const PoolConn& pc, VirtualJob job) {
+    engine->Submit([this, codec = pc.codec, job = std::move(job)]() mutable {
+      RunJob(codec, std::move(job));
     });
   }
 
-  void RunJob(PoolConn& pc, VirtualJob job) {
-    const double latency =
-        latency_ms[static_cast<std::size_t>(job.client_id)];
-    if (latency > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(latency));
+  void RunJob(const compress::Codec* codec, VirtualJob job) {
+    Finished done;
+    done.client_id = job.client_id;
+    done.job_index = job.job_index;
+    try {
+      VirtualClient& c = clients[static_cast<std::size_t>(job.client_id)];
+      if (c.latency_ms > 0.0) {
+        std::this_thread::sleep_for(Millis(c.latency_ms));
+      }
+      net::ClientUpdateMsg update;
+      update.client_id = job.client_id;
+      update.job_index = job.job_index;
+      update.base_round = job.round;
+      update.num_samples = num_samples(job.client_id);
+      // Echo the broadcast's trace id; the train span below and the
+      // server's defense span share it, which is the join key
+      // tools/merge_traces.py stitches timelines on.
+      update.trace_id = job.trace_id;
+      update.parent_span_id = TrainSpanId(job.trace_id);
+      std::vector<float> delta;
+      {
+        obs::ScopedSpan span(
+            "net.worker.train",
+            job.trace_id == 0
+                ? obs::TraceContext{}
+                : obs::TraceContext{job.trace_id, TrainSpanId(job.trace_id),
+                                    job.parent_span_id});
+        delta = train(job);
+      }
+      update.delta = net::UpdateView(std::span<const float>(delta), nullptr);
+      // Encoded exactly once: resends reuse these bytes, so retries stay
+      // byte-identical and the feedback residual advances once per job.
+      auto bytes = std::make_shared<std::vector<std::uint8_t>>();
+      net::AppendClientUpdateFrame(*bytes, update, codec, &c.feedback);
+      done.update = std::move(bytes);
+    } catch (const std::exception& e) {
+      AF_LOG(kWarn) << "pool: job " << job.job_index << " of client "
+                    << job.client_id << " failed: " << e.what();
     }
-    net::ClientUpdateMsg update;
-    update.client_id = job.client_id;
-    update.job_index = job.job_index;
-    update.base_round = job.round;
-    update.num_samples = num_samples(job.client_id);
-    // Echo the broadcast's trace id; the train span below and the server's
-    // defense span share it, which is the join key tools/merge_traces.py
-    // stitches timelines on.
-    update.trace_id = job.trace_id;
-    update.parent_span_id = TrainSpanId(job.trace_id);
-    std::vector<float> delta;
     {
-      obs::ScopedSpan span(
-          "net.worker.train",
-          job.trace_id == 0
-              ? obs::TraceContext{}
-              : obs::TraceContext{job.trace_id, TrainSpanId(job.trace_id),
-                                  job.parent_span_id});
-      delta = train(job);
-    }
-    update.delta = net::UpdateView(std::span<const float>(delta), nullptr);
-    {
-      std::lock_guard<std::mutex> lock(pc.out_mu);
-      // Same-client jobs are serialized (client_busy), so this encode is
-      // the only writer of this client's feedback residual.
-      net::AppendClientUpdateFrame(
-          pc.out, update, pc.codec,
-          &feedback[static_cast<std::size_t>(job.client_id)]);
+      std::lock_guard<std::mutex> lock(finished_mu);
+      finished.push_back(std::move(done));
     }
     reactor.Wakeup();
-
-    // Release the client or chain its next backlogged job, in order.
-    std::optional<VirtualJob> next;
-    {
-      std::lock_guard<std::mutex> lock(sched_mu);
-      auto it = client_backlog.find(job.client_id);
-      if (it == client_backlog.end() || it->second.empty()) {
-        client_busy[static_cast<std::size_t>(job.client_id)] = 0;
-      } else {
-        next = std::move(it->second.front());
-        it->second.pop_front();
-        if (it->second.empty()) {
-          client_backlog.erase(it);
-        }
-      }
-    }
-    if (next.has_value()) {
-      SubmitJob(pc, std::move(*next));
-    }
   }
 };
 
@@ -453,22 +712,11 @@ void VirtualClientPool::Start() {
   Impl& impl = *impl_;
   AF_CHECK(!impl.started.load()) << "pool started twice";
   const VirtualPoolOptions& opt = impl.options;
-  const int connections =
-      ResolvePoolConnections(opt.connections, opt.num_clients);
-
-  impl.feedback.resize(static_cast<std::size_t>(opt.num_clients));
-  impl.client_busy.resize(static_cast<std::size_t>(opt.num_clients), 0);
-  impl.latency_ms.resize(static_cast<std::size_t>(opt.num_clients), 0.0);
-  if (opt.latency.base_ms > 0.0) {
-    for (int c = 0; c < opt.num_clients; ++c) {
-      impl.latency_ms[static_cast<std::size_t>(c)] =
-          opt.latency.base_ms /
-          std::pow(static_cast<double>(c + 1), opt.latency.zipf_s);
-    }
-  }
+  const int connections = ResolvePoolConnections(
+      opt.connections, opt.num_clients, opt.faults.Any());
 
   // Client c rides connection c % connections; each connection announces
-  // its slice with one multiplexed hello.
+  // its slice with one hello.
   std::vector<net::HelloMsg> hellos(static_cast<std::size_t>(connections));
   for (int c = 0; c < opt.num_clients; ++c) {
     hellos[static_cast<std::size_t>(c % connections)].client_ids.push_back(c);
@@ -482,16 +730,30 @@ void VirtualClientPool::Start() {
     pc->conn.SendFrame(net::EncodeHello(hellos[static_cast<std::size_t>(i)]),
                        opt.io_timeout_ms);
     const int fd = pc->conn.fd();
-    if (fd >= static_cast<int>(impl.by_fd_sparse.size())) {
-      impl.by_fd_sparse.resize(static_cast<std::size_t>(fd) + 1, nullptr);
+    if (fd >= static_cast<int>(impl.by_fd.size())) {
+      impl.by_fd.resize(static_cast<std::size_t>(fd) + 1, nullptr);
     }
-    impl.by_fd_sparse[static_cast<std::size_t>(fd)] = pc.get();
+    impl.by_fd[static_cast<std::size_t>(fd)] = pc.get();
     // Pre-Start registration is safe: the pump thread (the reactor's owner
     // after this) does not exist yet.
     impl.reactor.Add(fd);
     impl.conns.push_back(std::move(pc));
   }
   obs::DefaultRegistry().GetGauge("pool.connections").Set(connections);
+
+  impl.clients.resize(static_cast<std::size_t>(opt.num_clients));
+  for (int c = 0; c < opt.num_clients; ++c) {
+    VirtualClient& client = impl.clients[static_cast<std::size_t>(c)];
+    client.conn = impl.conns[static_cast<std::size_t>(c % connections)].get();
+    if (opt.latency.base_ms > 0.0) {
+      client.latency_ms =
+          opt.latency.base_ms /
+          std::pow(static_cast<double>(c + 1), opt.latency.zipf_s);
+    }
+    if (opt.faults.Any()) {
+      client.injector = std::make_unique<net::FaultInjector>(opt.faults, c);
+    }
+  }
 
   impl.engine = std::make_unique<VirtualClientEngine>(opt.workers);
   impl.pump = std::thread([this] { impl_->PumpLoop(); });
@@ -506,13 +768,13 @@ void VirtualClientPool::Stop() {
     impl.pump.join();
   }
   if (impl.engine != nullptr) {
-    // Engine tasks may still be encoding into outboxes; wait them out
-    // before the connections die under them.
+    // Engine tasks may still be training; they post to `finished`, which
+    // outlives them.
     impl.engine->Drain();
     impl.engine.reset();
   }
   impl.conns.clear();
-  impl.by_fd_sparse.clear();
+  impl.by_fd.clear();
 }
 
 int VirtualClientPool::connection_count() const {

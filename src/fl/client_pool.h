@@ -1,26 +1,35 @@
-// Virtual-client engine: the scale half of the distributed run mode.
-//
-// The thread-per-client worker model is dead at 10k clients. A
-// VirtualClientPool instead multiplexes N simulated clients over a small
-// set of TCP connections (each announcing its id slice with one kHello
-// frame) and runs their training jobs on a shared work queue drained by a
-// fixed crew of worker threads — 100k–1M-client populations cost
-// connections + workers, not threads.
+// The client fleet of the distributed run mode. A VirtualClientPool
+// multiplexes N simulated clients over a small set of TCP connections (each
+// announcing its id slice with one kHello frame) and runs their training
+// jobs on a shared work queue drained by a fixed crew of worker threads —
+// 100k–1M-client populations cost connections + workers, not threads.
 //
 //   pump thread (client-side net::Reactor)     engine workers
 //   ───────────────────────────────────────    ─────────────────────────
 //   reads sockets, demuxes ModelBroadcasts     pop job → optional latency
 //   by their AFVC client-id block, submits     sleep → train fn → encode
-//   jobs; flushes outboxes the workers         ClientUpdate into the
-//   filled (woken via Reactor::Wakeup)         conn's outbox → Wakeup
+//   jobs; sends each finished update through   ClientUpdate → hand back to
+//   its client's fault injector, holds it      the pump (Reactor::Wakeup)
+//   until acked, resends on timeout
 //
-// Updates are sent exactly once: fault injection is forbidden on virtual
-// pools (enforced by the driver), TCP is reliable, and the server acks are
-// read and dropped by the pump. Training draws from the same
-// (client_id, job_index)-keyed RNG streams as the real workers, so a
-// virtual run is bit-identical to a real-worker or inproc run of the same
-// config — across any worker count, since the server assigns results by
-// job position, not arrival order.
+// Uplink protocol, per client: an update's encoded bytes are held until the
+// server acks (client_id, job_index) and resent on the retry/ack-timeout
+// schedule; the client's next job starts only once the previous update is
+// acked. A per-client net::FaultInjector may drop, delay, duplicate or
+// truncate each send or kill the client; a quiet one always delivers.
+// Drops, delays and duplicates are recovered at any connection count;
+// truncate and kill close the connection that carries the client, so every
+// client on it is evicted (fault runs default to one connection per
+// client). Fault draws are a pure function of (seed, client, frame
+// sequence), and training draws from the same (client_id, job_index)-keyed
+// RNG streams as the in-process backend, so a recoverable-fault run is
+// bit-identical to an inproc run of the same config — across any worker or
+// connection count, since the server assigns results by job position, not
+// arrival order.
+//
+// Bad input from the server (malformed frames, a broadcast without a valid
+// client-id block, a job whose training throws) closes only the connection
+// it arrived on; the other connections keep running.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +37,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/fault_injector.h"
 #include "net/socket.h"
 
 namespace fl {
@@ -40,24 +50,29 @@ struct LatencyModelSpec {
   double zipf_s = 0.0;
 };
 
-// How a distributed run executes its client fleet. Part of the public
+// Shape of the distributed run's client fleet. Part of the public
 // experiment surface (ExperimentConfig::pool / DistributedSpec::pool).
 struct ClientPoolSpec {
+  // Single-valued: the virtual pool is the only fleet. The field stays
+  // because the round benchmark (roundbench/src/workload.cc) still assigns
+  // it; drop both together.
   enum class Mode {
-    kReal,     // one OS thread + one connection per client (legacy)
-    kVirtual,  // multiplexed virtual clients (this header)
+    kVirtual,
   };
-  Mode mode = Mode::kReal;
-  // Virtual mode only: TCP connections carrying the fleet; 0 → one per 64
-  // clients, clamped to [1, 256].
+  Mode mode = Mode::kVirtual;
+  // TCP connections carrying the fleet; 0 → ResolvePoolConnections default.
   int connections = 0;
-  // Virtual mode only: training worker threads; 0 → hardware concurrency.
+  // Training worker threads; 0 → hardware concurrency.
   int workers = 0;
   LatencyModelSpec latency;
 };
 
-// Resolved defaults for ClientPoolSpec's zero values.
-int ResolvePoolConnections(int requested, int num_clients);
+// Resolved defaults for ClientPoolSpec's zero values. Connections: one per
+// 64 clients, clamped to [1, 256] — or one per client when fault injection
+// is armed, so a killed or truncated connection takes down only its own
+// client. An explicit request wins but never exceeds the population.
+int ResolvePoolConnections(int requested, int num_clients,
+                           bool faults_armed = false);
 int ResolvePoolWorkers(int requested);
 
 // One training job demuxed off a connection. `base` is an owned copy of
@@ -98,7 +113,9 @@ struct VirtualPoolOptions {
   int workers = 0;      // 0 → ResolvePoolWorkers default
   int io_timeout_ms = 10000;
   bool trace_context = false;  // answer the server's TraceOffer with this
-  net::RetryConfig retry;
+  net::RetryConfig retry;      // connect retry + update resend backoff
+  int ack_timeout_ms = 250;    // resend an update unacked this long
+  net::FaultConfig faults;     // uplink fault injection (off by default)
   std::uint64_t seed = 0;
   LatencyModelSpec latency;
 };
@@ -108,8 +125,9 @@ class VirtualClientPool {
   // Produces the flat delta for one job. Called concurrently from engine
   // workers, at most once per (client_id, job_index), and never
   // concurrently for the same client: the pool serializes a client's jobs
-  // in arrival order (FedBuff may dispatch several to one client; a real
-  // worker would drain them sequentially off its socket).
+  // in arrival order (FedBuff may dispatch several to one client), each
+  // starting once the previous update is acked. May throw; the pool then
+  // closes the client's connection.
   using TrainFn = std::function<std::vector<float>(const VirtualJob&)>;
   using NumSamplesFn = std::function<std::uint64_t(int client_id)>;
 

@@ -1,9 +1,7 @@
 #include "fl/distributed.h"
 
 #include <chrono>
-#include <deque>
 #include <map>
-#include <thread>
 #include <utility>
 
 #include "compress/codec.h"
@@ -26,238 +24,6 @@ std::uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           Clock::now().time_since_epoch())
           .count());
-}
-
-void SleepMs(double ms) {
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-// How long an idle worker waits for its next job before assuming the server
-// died without saying Shutdown. Slow clients legitimately idle across many
-// aggregation rounds, so this is generous.
-constexpr int kWorkerIdleTimeoutMs = 10 * 60 * 1000;
-
-// ---------------------------------------------------------------------
-// Client worker: one thread per client, blocking I/O over loopback TCP.
-
-struct WorkerContext {
-  int client_id = -1;
-  Client* client = nullptr;
-  std::uint64_t seed = 0;
-  LocalTrainConfig local;
-  std::uint16_t port = 0;
-  TransportOptions options;
-};
-
-// Sends the pre-encoded update frame through the fault injector and waits
-// for the server's Ack, resending on the retry schedule. Resends reuse the
-// same bytes, so retries stay byte-identical. Returns false when the worker
-// must die (connection intentionally killed, truncated, or the server never
-// acked). Broadcast frames that arrive while waiting are parked in `inbox`.
-bool SendUpdateReliably(const WorkerContext& ctx, net::Connection& conn,
-                        net::FaultInjector& injector,
-                        std::span<const std::uint8_t> update_bytes,
-                        std::uint64_t job_index,
-                        std::deque<net::Frame>& inbox,
-                        std::uint64_t& data_frames_sent,
-                        net::BackoffSchedule& backoff, bool& saw_shutdown) {
-  obs::Counter& resends =
-      obs::DefaultRegistry().GetCounter("net.update_resends");
-  obs::Counter& faults = obs::DefaultRegistry().GetCounter(
-      "net.faults_injected", {{"kind", "any"}});
-  const bool inject = ctx.options.faults.Any();
-  // Each job is a fresh retry cycle; the schedule's RNG keeps advancing
-  // across cycles so repeated cycles stay decorrelated.
-  backoff.Reset();
-
-  for (int attempt = 0; attempt < ctx.options.retry.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      resends.Increment();
-      SleepMs(backoff.NextDelayMs());
-    }
-    // Doomed connections die after their allotted number of data frames.
-    if (injector.doomed() && data_frames_sent >= injector.kill_after_frame()) {
-      AF_LOG(kInfo) << "net: fault injector killing client "
-                    << ctx.client_id << "'s connection";
-      conn.Close();
-      return false;
-    }
-    auto action = net::FaultInjector::Action::kDeliver;
-    if (inject) {
-      action = injector.NextAction();
-      if (action != net::FaultInjector::Action::kDeliver) {
-        faults.Increment();
-      }
-    }
-    ++data_frames_sent;
-    switch (action) {
-      case net::FaultInjector::Action::kDrop:
-        break;  // never hits the wire; the ack timeout triggers a resend
-      case net::FaultInjector::Action::kTruncate:
-        // A frame prefix then a hard close: the server sees a stream that
-        // dies mid-frame and evicts us.
-        conn.SendBytes(update_bytes.first(update_bytes.size() / 2),
-                       ctx.options.io_timeout_ms);
-        conn.Close();
-        return false;
-      case net::FaultInjector::Action::kDelay:
-        SleepMs(injector.delay_ms());
-        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
-        break;
-      case net::FaultInjector::Action::kDuplicate:
-        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
-        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
-        break;
-      case net::FaultInjector::Action::kDeliver:
-        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
-        break;
-    }
-
-    // Await the receipt; anything else that arrives is parked.
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(ctx.options.ack_timeout_ms);
-    while (true) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            deadline - Clock::now())
-                            .count();
-      if (left <= 0) {
-        break;  // resend
-      }
-      net::Frame in;
-      const auto status = conn.TryRecvFrame(&in, static_cast<int>(left));
-      if (status == net::Connection::RecvStatus::kTimeout) {
-        break;  // resend
-      }
-      if (status == net::Connection::RecvStatus::kEof) {
-        return false;  // server closed on us
-      }
-      if (in.type == net::MessageType::kAck) {
-        if (net::DecodeAck(in).value == job_index) {
-          return true;
-        }
-        continue;  // stale receipt for an earlier job
-      }
-      if (in.type == net::MessageType::kShutdown) {
-        saw_shutdown = true;
-        return true;  // run is over; the update no longer matters
-      }
-      inbox.push_back(std::move(in));
-    }
-  }
-  AF_LOG(kWarn) << "net: client " << ctx.client_id << " gave up on job "
-                << job_index << " after "
-                << ctx.options.retry.max_attempts << " attempts";
-  conn.Close();
-  return false;
-}
-
-void RunWorker(WorkerContext ctx) {
-  util::SetThreadLogPrefix("client " + std::to_string(ctx.client_id));
-  try {
-    net::FaultInjector injector(ctx.options.faults, ctx.client_id);
-    // Decorrelated-jitter resend schedule, seeded per client so a fleet
-    // that stalls together fans back out instead of resending in lockstep.
-    net::BackoffSchedule backoff(
-        ctx.options.retry,
-        ctx.seed ^ (0xc0ffee123ull +
-                    static_cast<std::uint64_t>(ctx.client_id)));
-
-    net::Connection conn = net::ConnectWithRetry(
-        ctx.port, ctx.options.retry,
-        ctx.seed ^ static_cast<std::uint64_t>(ctx.client_id));
-    // Handshake: identify ourselves.
-    conn.SendFrame(net::EncodeAck(
-                       {static_cast<std::uint64_t>(ctx.client_id)}),
-                   ctx.options.io_timeout_ms);
-
-    // Training jobs draw from the same streams as the in-process backend,
-    // which is what makes tcp and inproc runs bit-identical.
-    util::RngFactory rngs(ctx.seed);
-    std::deque<net::Frame> inbox;
-    std::uint64_t data_frames_sent = 0;
-    bool saw_shutdown = false;
-    // Negotiated uplink codec. Stays null — legacy identity bytes — until a
-    // CodecOffer arrives; an old server never sends one, so its first frame
-    // (a ModelBroadcast) lands below and the run proceeds uncompressed.
-    const compress::Codec* codec = nullptr;
-    compress::FeedbackState feedback;
-    std::vector<std::uint8_t> update_bytes;  // reused per-job encode scratch
-
-    while (!saw_shutdown) {
-      net::Frame frame;
-      if (!inbox.empty()) {
-        frame = std::move(inbox.front());
-        inbox.pop_front();
-      } else if (!conn.RecvFrame(&frame, kWorkerIdleTimeoutMs)) {
-        break;  // server closed the connection
-      }
-      if (frame.type == net::MessageType::kShutdown) {
-        break;
-      }
-      if (frame.type == net::MessageType::kTraceOffer) {
-        net::DecodeTraceOffer(frame);
-        conn.SendFrame(
-            net::EncodeTraceSelect({ctx.options.trace_context}),
-            ctx.options.io_timeout_ms);
-        continue;
-      }
-      if (frame.type == net::MessageType::kCodecOffer) {
-        // Pick the first offered codec this build knows; identity otherwise.
-        const net::CodecOfferMsg offer = net::DecodeCodecOffer(frame);
-        std::string pick = "identity";
-        for (const std::string& name : offer.codecs) {
-          if (compress::Has(name)) {
-            pick = name;
-            break;
-          }
-        }
-        conn.SendFrame(net::EncodeCodecSelect({pick}),
-                       ctx.options.io_timeout_ms);
-        const compress::Codec& selected = compress::Get(pick);
-        codec = compress::IsIdentity(selected) ? nullptr : &selected;
-        continue;
-      }
-      if (frame.type != net::MessageType::kModelBroadcast) {
-        continue;  // stray ack from a resolved resend race
-      }
-      const net::ModelBroadcastMsg job = net::DecodeModelBroadcast(frame);
-      const std::uint64_t stream_index =
-          (static_cast<std::uint64_t>(ctx.client_id) << 32) | job.job_index;
-      auto rng = rngs.Stream("client-train", stream_index);
-      net::ClientUpdateMsg update;
-      update.client_id = ctx.client_id;
-      update.job_index = job.job_index;
-      update.base_round = job.round;
-      update.num_samples = ctx.client->num_samples();
-      // Echo the broadcast's trace id; the train span below and the
-      // server's defense span share it, which is the join key
-      // tools/merge_traces.py stitches timelines on.
-      update.trace_id = job.trace_id;
-      update.parent_span_id = TrainSpanId(job.trace_id);
-      {
-        obs::ScopedSpan span(
-            "net.worker.train",
-            job.trace_id == 0
-                ? obs::TraceContext{}
-                : obs::TraceContext{job.trace_id, TrainSpanId(job.trace_id),
-                                    job.parent_span_id});
-        update.delta = ctx.client->TrainOnce(job.params, ctx.local, rng);
-      }
-      // Encode exactly once per job, straight into the reused scratch
-      // buffer — resends reuse the same bytes, so retries stay
-      // byte-identical and the feedback residual advances once.
-      update_bytes.clear();
-      net::AppendClientUpdateFrame(update_bytes, update, codec, &feedback);
-      if (!SendUpdateReliably(ctx, conn, injector, update_bytes,
-                              job.job_index, inbox, data_frames_sent,
-                              backoff, saw_shutdown)) {
-        return;
-      }
-    }
-  } catch (const std::exception& e) {
-    AF_LOG(kWarn) << "net: worker for client " << ctx.client_id
-                  << " terminated: " << e.what();
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -311,11 +77,9 @@ class TcpBackend : public TrainBackend {
       // no per-job copy of the model.
       msg.params = net::UpdateView(std::span<const float>(*job.base),
                                    job.base);
-      // Multiplexed sessions need the AFVC block to demux the job;
-      // single-client sessions keep the legacy wire bytes.
-      if (server_->IsMultiplexed(job.client_id)) {
-        msg.client_id = job.client_id;
-      }
+      // The AFVC block names the client, so a connection carrying many can
+      // demux the job.
+      msg.client_id = job.client_id;
       if (options_.trace_context &&
           server_->ClientTraceContext(job.client_id)) {
         msg.trace_id = TraceIdFor(seed_, job.client_id, job.job_index);
@@ -348,7 +112,7 @@ class TcpBackend : public TrainBackend {
     for (int client_id : laggards) {
       server_->Evict(client_id, "job deadline exceeded");
     }
-    // Push out any still-queued acks so workers stop resending while the
+    // Push out any still-queued acks so clients stop resending while the
     // driver is busy aggregating/evaluating.
     server_->Flush(options_.io_timeout_ms);
     current_deltas_ = nullptr;
@@ -444,20 +208,13 @@ struct DistributedDriver::Impl {
   DistributedSpec spec;
 
   std::unique_ptr<net::Server> server;
-  std::vector<std::thread> workers;        // kReal fleet
-  std::unique_ptr<VirtualClientPool> pool; // kVirtual fleet
+  std::unique_ptr<VirtualClientPool> pool;
 
   void ShutdownFleet() {
     if (server != nullptr) {
       server->BroadcastShutdown();
       server->Flush(1000);
     }
-    for (auto& worker : workers) {
-      if (worker.joinable()) {
-        worker.join();
-      }
-    }
-    workers.clear();
     if (pool != nullptr) {
       pool->Stop();
       pool.reset();
@@ -478,7 +235,7 @@ DistributedDriver::~DistributedDriver() {
   try {
     impl_->ShutdownFleet();
   } catch (...) {
-    // Destructor must not throw; workers exit on their idle timeout.
+    // Destructor must not throw.
   }
 }
 
@@ -486,18 +243,9 @@ SimulationResult DistributedDriver::Run() {
   AF_TRACE_SPAN("net.driver.run");
   Impl& impl = *impl_;
   DistributedSpec& spec = impl.spec;
-  const bool virtual_fleet =
-      spec.pool.mode == ClientPoolSpec::Mode::kVirtual;
-  if (virtual_fleet) {
-    // Virtual clients send each update exactly once (no resend machinery),
-    // so fault injection would silently lose updates instead of testing
-    // recovery — force the real fleet for fault experiments.
-    AF_CHECK(!spec.transport.faults.Any())
-        << "fault injection requires the real (thread-per-client) fleet";
-  }
 
-  // Resolve AF_LOG_LEVEL before any worker thread exists so every thread
-  // sees the same level from its first line, and tag the driver's own lines.
+  // Resolve AF_LOG_LEVEL before any pool thread exists so every thread sees
+  // the same level from its first line, and tag the driver's own lines.
   util::GetLogLevel();
   util::SetThreadLogPrefix("server");
 
@@ -521,62 +269,50 @@ SimulationResult DistributedDriver::Run() {
     num_samples.push_back(client->num_samples());
   }
 
-  if (virtual_fleet) {
-    // The pool trains with the same (client_id, job_index)-keyed streams
-    // the thread-per-client workers use; Stream() is const, so the shared
-    // factory is safe across the engine's worker crew.
-    std::vector<Client*> fleet;
-    fleet.reserve(spec.clients.size());
-    for (const auto& client : spec.clients) {
-      fleet.push_back(client.get());
-    }
-    auto rngs = std::make_shared<util::RngFactory>(spec.sim.seed);
-    const LocalTrainConfig local = spec.sim.local;
-
-    VirtualPoolOptions pool_options;
-    pool_options.port = impl.server->port();
-    pool_options.num_clients = static_cast<int>(spec.clients.size());
-    pool_options.connections = spec.pool.connections;
-    pool_options.workers = spec.pool.workers;
-    pool_options.io_timeout_ms = spec.transport.io_timeout_ms;
-    pool_options.trace_context = spec.transport.trace_context;
-    pool_options.retry = spec.transport.retry;
-    pool_options.seed = spec.sim.seed;
-    pool_options.latency = spec.pool.latency;
-    impl.pool = std::make_unique<VirtualClientPool>(
-        pool_options,
-        [fleet, rngs, local](const VirtualJob& job) {
-          const std::uint64_t stream_index =
-              (static_cast<std::uint64_t>(job.client_id) << 32) |
-              job.job_index;
-          auto rng = rngs->Stream("client-train", stream_index);
-          return fleet[static_cast<std::size_t>(job.client_id)]->TrainOnce(
-              std::span<const float>(job.base), local, rng);
-        },
-        [fleet](int client_id) {
-          return static_cast<std::uint64_t>(
-              fleet[static_cast<std::size_t>(client_id)]->num_samples());
-        });
-    impl.pool->Start();
-    AF_LOG(kInfo) << "net: virtual pool up — " << spec.clients.size()
-                  << " clients over " << impl.pool->connection_count()
-                  << " connection(s), " << impl.pool->worker_count()
-                  << " worker(s)";
-  } else {
-    for (std::size_t c = 0; c < spec.clients.size(); ++c) {
-      WorkerContext ctx;
-      ctx.client_id = static_cast<int>(c);
-      ctx.client = spec.clients[c].get();
-      ctx.seed = spec.sim.seed;
-      ctx.local = spec.sim.local;
-      ctx.port = impl.server->port();
-      ctx.options = spec.transport;
-      impl.workers.emplace_back(RunWorker, std::move(ctx));
-    }
+  // The pool trains with the same (client_id, job_index)-keyed streams as
+  // the in-process backend; Stream() is const, so the shared factory is
+  // safe across the engine's worker crew.
+  std::vector<Client*> fleet;
+  fleet.reserve(spec.clients.size());
+  for (const auto& client : spec.clients) {
+    fleet.push_back(client.get());
   }
+  auto rngs = std::make_shared<util::RngFactory>(spec.sim.seed);
+  const LocalTrainConfig local = spec.sim.local;
+
+  VirtualPoolOptions pool_options;
+  pool_options.port = impl.server->port();
+  pool_options.num_clients = static_cast<int>(spec.clients.size());
+  pool_options.connections = spec.pool.connections;
+  pool_options.workers = spec.pool.workers;
+  pool_options.io_timeout_ms = spec.transport.io_timeout_ms;
+  pool_options.trace_context = spec.transport.trace_context;
+  pool_options.retry = spec.transport.retry;
+  pool_options.ack_timeout_ms = spec.transport.ack_timeout_ms;
+  pool_options.faults = spec.transport.faults;
+  pool_options.seed = spec.sim.seed;
+  pool_options.latency = spec.pool.latency;
+  impl.pool = std::make_unique<VirtualClientPool>(
+      pool_options,
+      [fleet, rngs, local](const VirtualJob& job) {
+        const std::uint64_t stream_index =
+            (static_cast<std::uint64_t>(job.client_id) << 32) | job.job_index;
+        auto rng = rngs->Stream("client-train", stream_index);
+        return fleet[static_cast<std::size_t>(job.client_id)]->TrainOnce(
+            std::span<const float>(job.base), local, rng);
+      },
+      [fleet](int client_id) {
+        return static_cast<std::uint64_t>(
+            fleet[static_cast<std::size_t>(client_id)]->num_samples());
+      });
 
   SimulationResult result;
   try {
+    impl.pool->Start();
+    AF_LOG(kInfo) << "net: client pool up — " << spec.clients.size()
+                  << " clients over " << impl.pool->connection_count()
+                  << " connection(s), " << impl.pool->worker_count()
+                  << " worker(s)";
     AF_CHECK(impl.server->WaitForClients(
         spec.clients.size(), spec.transport.handshake_timeout_ms))
         << "only " << impl.server->ConnectedCount() << " of "

@@ -3,21 +3,20 @@
 //
 // Topology (all loopback, one process):
 //
-//   driver thread                         client fleet (ClientPoolSpec)
+//   driver thread                         client fleet (fl/client_pool.h)
 //   ─────────────                         ──────────────────────────────
-//   net::Server (epoll reactor) ◀─ TCP ─▶ kReal: one thread + connection
-//   Simulation + TcpBackend               per client (blocking I/O)
-//   delta slots → defense                 kVirtual: VirtualClientPool —
-//                                         few connections, worker crew
+//   net::Server (epoll reactor) ◀─ TCP ─▶ VirtualClientPool: clients
+//   Simulation + TcpBackend               multiplexed over a few
+//   delta slots → defense                 connections, a worker crew
 //
 // Training jobs carry the same (client_id, job_index)-keyed RNG streams as
 // the in-process simulator, so with a quiet wire a tcp run is
-// bit-identical to an inproc run of the same config — in either fleet
-// mode. The wire is allowed to be hostile in kReal mode: a
-// net::FaultInjector on each client's uplink can drop, delay, duplicate,
-// or truncate frames and kill connections outright; the server evicts the
-// dead and keeps aggregating from the survivors. Virtual pools forbid
-// fault injection (updates are sent exactly once).
+// bit-identical to an inproc run of the same config. The wire is allowed
+// to be hostile: a net::FaultInjector on each client's uplink can drop,
+// delay, duplicate, or truncate frames and kill connections outright. The
+// pool resends until acked, so drops, delays and duplicates leave the
+// result unchanged; truncate and kill close the client's connection, and
+// the server evicts the dead and keeps aggregating from the survivors.
 #pragma once
 
 #include <memory>
@@ -58,8 +57,8 @@ struct TransportOptions {
 };
 
 // Everything a distributed run needs, in one bag — the mirror of
-// ExperimentSpec for the over-the-wire mode. `pool` picks how the client
-// fleet executes (ClientPoolSpec in fl/client_pool.h).
+// ExperimentSpec for the over-the-wire mode. `pool` shapes the client
+// fleet (ClientPoolSpec in fl/client_pool.h).
 struct DistributedSpec {
   SimulationConfig sim;
   nn::ModelSpec model;
@@ -84,8 +83,7 @@ class DistributedDriver {
 
   // Brings the fleet up, runs the full simulation over the wire, shuts the
   // fleet down. Throws util::CheckError when the fleet cannot start (e.g.
-  // no client completes the handshake) or when the spec is inconsistent
-  // (fault injection on a virtual pool).
+  // not every client completes the handshake).
   SimulationResult Run();
 
  private:

@@ -17,7 +17,7 @@
 namespace fl {
 
 // How local training jobs are executed: in-process thread-pool waves, or
-// client workers behind a loopback TCP transport (see docs/NETWORK.md).
+// a client pool behind a loopback TCP transport (see docs/NETWORK.md).
 // Both are bit-identical for a given config.
 enum class TransportKind {
   kInproc,
@@ -81,8 +81,8 @@ struct ExperimentConfig {
   std::size_t threads = 0;  // 0 → hardware concurrency
   TransportKind transport = TransportKind::kInproc;
   TransportOptions net;  // only consulted when transport == kTcp
-  // Client fleet shape for distributed transports: real threads (default)
-  // or a multiplexed virtual pool (fl/client_pool.h). Ignored inproc.
+  // Client fleet shape for distributed transports: connections, workers,
+  // latency model (fl/client_pool.h). Ignored inproc.
   ClientPoolSpec pool;
 
   // Update-compression codec (compress/codec.h registry name; empty →

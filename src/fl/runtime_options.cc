@@ -13,9 +13,8 @@ const std::vector<std::string>& RuntimeOptions::FlagNames() {
       "fault-duplicate", "fault-truncate",
       "fault-delay-ms", "fault-kill",
       "compress",       "metrics-port",
-      "clients-virtual", "pool-connections",
-      "pool-workers",   "pool-latency-ms",
-      "pool-latency-zipf",
+      "pool-connections", "pool-workers",
+      "pool-latency-ms", "pool-latency-zipf",
   };
   return kNames;
 }
@@ -35,9 +34,6 @@ RuntimeOptions RuntimeOptions::FromFlags(const util::FlagParser& flags,
   options.net.faults.kill_fraction = flags.GetDouble("fault-kill", 0.0);
   options.net.faults.seed = seed;
   options.compress = flags.GetString("compress", "");
-  if (flags.GetBool("clients-virtual", false)) {
-    options.pool.mode = ClientPoolSpec::Mode::kVirtual;
-  }
   options.pool.connections =
       static_cast<int>(flags.GetInt("pool-connections", 0));
   options.pool.workers = static_cast<int>(flags.GetInt("pool-workers", 0));
@@ -52,13 +48,6 @@ RuntimeOptions RuntimeOptions::FromFlags(const util::FlagParser& flags,
 void RuntimeOptions::Validate() const {
   AF_CHECK(compress.empty() || compress::Registry::Global().Has(compress))
       << "unknown --compress: " << compress << " (try --list-codecs)";
-  const bool virtual_fleet = pool.mode == ClientPoolSpec::Mode::kVirtual;
-  if (virtual_fleet) {
-    AF_CHECK(!net.faults.Any())
-        << "--clients-virtual is incompatible with --fault-* injection "
-           "(virtual clients send updates exactly once; use the real "
-           "fleet for fault experiments)";
-  }
   AF_CHECK_GE(pool.connections, 0)
       << "--pool-connections must be >= 0 (0 picks a default)";
   AF_CHECK_LE(pool.connections, 4096) << "--pool-connections too large";

@@ -1,7 +1,7 @@
 // Shared CLI surface for the distributed runtime: every binary that takes
 // --transport / --fault-* / --compress / --metrics-port parses them through
-// this one struct, so a new runtime flag (e.g. --clients-virtual)
-// lands once instead of once per tool.
+// this one struct, so a new runtime flag lands once instead of once per
+// tool.
 //
 //   util::FlagParser flags(argc, argv);
 //   flags.RejectUnknown(Concat(my_flags, fl::RuntimeOptions::FlagNames()));
@@ -26,15 +26,14 @@ struct RuntimeOptions {
   TransportKind transport = TransportKind::kInproc;
   TransportOptions net;       // port, faults
   std::string compress;       // codec registry name; empty → none
-  ClientPoolSpec pool;        // --clients-virtual fleet shape
+  ClientPoolSpec pool;        // --pool-* fleet shape
   bool has_metrics_port = false;
   std::uint16_t metrics_port = 0;
 
   // The flag names this struct consumes — splice into RejectUnknown():
   //   transport, port, fault-drop, fault-delay, fault-duplicate,
   //   fault-truncate, fault-delay-ms, fault-kill, compress, metrics-port,
-  //   clients-virtual, pool-connections, pool-workers, pool-latency-ms,
-  //   pool-latency-zipf
+  //   pool-connections, pool-workers, pool-latency-ms, pool-latency-zipf
   static const std::vector<std::string>& FlagNames();
 
   // Parses the flags above. `seed` feeds the fault injector's RNG so runs
@@ -42,8 +41,8 @@ struct RuntimeOptions {
   static RuntimeOptions FromFlags(const util::FlagParser& flags,
                                   std::uint64_t seed);
 
-  // Cross-flag consistency: known codec name, no fault injection on a
-  // virtual fleet, sane connection/worker counts.
+  // Cross-flag consistency: known codec name, sane connection/worker
+  // counts.
   // Throws util::CheckError with an actionable message.
   void Validate() const;
 

@@ -391,7 +391,8 @@ ClientUpdateMsg DecodeClientUpdate(const FrameView& frame) {
 Frame EncodeAck(const AckMsg& msg) {
   Frame frame;
   frame.type = MessageType::kAck;
-  AppendRaw(frame.payload, msg.value);
+  AppendRaw(frame.payload, msg.client_id);
+  AppendRaw(frame.payload, msg.job_index);
   return frame;
 }
 
@@ -399,7 +400,8 @@ AckMsg DecodeAck(const FrameView& frame) {
   CheckType(frame, MessageType::kAck);
   AckMsg msg;
   std::size_t offset = 0;
-  msg.value = ReadRaw<std::uint64_t>(frame.payload, &offset);
+  msg.client_id = ReadRaw<std::int32_t>(frame.payload, &offset);
+  msg.job_index = ReadRaw<std::uint64_t>(frame.payload, &offset);
   CheckFullyConsumed(frame, offset);
   return msg;
 }

@@ -23,10 +23,10 @@
 // float payload is 4-byte aligned (it is, at every offset this protocol
 // emits). Such a message is valid only as long as the buffer it was decoded
 // from — consumers either finish with it inside the read callback or
-// materialize it once into an arena. The legacy Frame/DecodeFrame pair
-// (owning payload vector) remains for blocking clients and tests.
+// materialize it once into an arena. The owning Frame/DecodeFrame pair
+// serves the blocking helpers in net/socket.h and tests.
 //
-// Codec negotiation (see docs/NETWORK.md): after the client's hello Ack, a
+// Codec negotiation (see docs/NETWORK.md): after the client's Hello, a
 // server configured with advertised codecs replies with a CodecOffer naming
 // them; the client answers with a CodecSelect naming its pick (identity when
 // nothing offered suits it). A server with no advertised codecs sends no
@@ -61,7 +61,7 @@ namespace net {
 enum class MessageType : std::uint16_t {
   kModelBroadcast = 1,  // server → client: base params for one training job
   kClientUpdate = 2,    // client → server: the resulting delta
-  kAck = 3,             // both ways: connection hello / update receipt
+  kAck = 3,             // server → client: update receipt
   kShutdown = 4,        // server → client: run over, close cleanly
   kCodecOffer = 5,      // server → client: codec names the server accepts
   kCodecSelect = 6,     // client → server: the codec the client will use
@@ -69,7 +69,7 @@ enum class MessageType : std::uint16_t {
   kTraceSelect = 8,     // client → server: client will attach trace context
   // 9 and 10 are retired and must not be reused: a stale peer may still
   // send them, and decode rejects them as unknown types.
-  kHello = 11,          // client → server: multiplexed hello (many client ids)
+  kHello = 11,          // client → server: connection hello (its client ids)
 };
 
 const char* MessageTypeName(MessageType type);
@@ -135,10 +135,10 @@ struct ModelBroadcastMsg {
   // Cross-process trace context (0 = untraced → no AFTC block on the wire).
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span_id = 0;
-  // Which multiplexed client the job targets. -1 (single-client sessions)
-  // emits no AFVC block, keeping legacy wire bytes unchanged; >= 0 appends
-  // a trailing 8-byte AFVC block (u32 "AFVC" magic, i32 client_id) after
-  // any AFTC block, so a virtual-client pool can demux jobs on one socket.
+  // Which client the job targets. >= 0 appends a trailing 8-byte AFVC block
+  // (u32 "AFVC" magic, i32 client_id) after any AFTC block, so a connection
+  // carrying many clients can demux its jobs; the driver always sets it.
+  // -1 emits no block.
   std::int32_t client_id = -1;
 };
 
@@ -158,10 +158,11 @@ struct ClientUpdateMsg {
   std::uint64_t wire_bytes = 0;
 };
 
-// Hello (value = client id, sent once after connecting) or update receipt
-// (value = acknowledged job_index).
+// Update receipt. Job indices are per client and one connection carries
+// many clients, so the receipt names both halves of the dedup key.
 struct AckMsg {
-  std::uint64_t value = 0;
+  std::int32_t client_id = -1;
+  std::uint64_t job_index = 0;
 };
 
 // Codec names the server is willing to decode, preference-ordered.
@@ -184,9 +185,9 @@ struct TraceSelectMsg {
   bool enabled = false;
 };
 
-// Client → server: multiplexed hello. One connection announces every
-// client id it will carry; the server binds them all to this session.
-// Single-client peers keep sending the legacy hello Ack instead.
+// Client → server: the first frame on every connection. It announces every
+// client id the connection will carry; the server binds them all to this
+// session.
 struct HelloMsg {
   std::vector<std::int32_t> client_ids;
 };

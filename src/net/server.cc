@@ -437,9 +437,4 @@ bool Server::ClientTraceContext(int client_id) const {
   return it != by_client_.end() && it->second->session->trace_context();
 }
 
-bool Server::IsMultiplexed(int client_id) const {
-  auto it = by_client_.find(client_id);
-  return it != by_client_.end() && it->second->session->multiplexed();
-}
-
 }  // namespace net

@@ -13,12 +13,11 @@
 // stall-eviction scan at the end of every tick visits every connection, so
 // a tick is O(connections).
 //
-// A connection may be *multiplexed*: a kHello frame binds many client ids
-// (a virtual-client pool) to one socket, and broadcasts to those ids carry
-// a trailing AFVC client-id block so the pool can demux. Protocol behavior
-// — handshake ordering, codec/trace negotiation, (client_id, job_index)-
-// keyed update dedup with re-acks, eviction policy — lives in
-// net/session.h.
+// Every connection opens with a kHello frame that binds one or more client
+// ids to its socket; broadcasts to those ids carry a trailing AFVC
+// client-id block so the peer can demux. Protocol behavior — handshake
+// ordering, codec/trace negotiation, (client_id, job_index)-keyed update
+// dedup with re-acks, eviction policy — lives in net/session.h.
 #pragma once
 
 #include <cstdint>
@@ -95,8 +94,8 @@ class Server {
   bool WaitForClients(std::size_t count, int timeout_ms);
 
   // Drops the client's connection (e.g. job deadline exceeded). Fires the
-  // disconnect handler. On a multiplexed connection this evicts every
-  // client id bound to it — the pool behind the socket is one peer.
+  // disconnect handler for every client id bound to that connection — the
+  // pool behind the socket is one peer.
   void Evict(int client_id, const char* reason);
 
   bool IsConnected(int client_id) const;
@@ -111,10 +110,6 @@ class Server {
   // handshake. The driver only attaches AFTC blocks to broadcasts for
   // clients that did.
   bool ClientTraceContext(int client_id) const;
-
-  // Whether the client rides a multiplexed (kHello) session. Broadcasts to
-  // such clients must carry the AFVC client-id block so the pool can demux.
-  bool IsMultiplexed(int client_id) const;
 
  private:
   struct Conn;

@@ -1,7 +1,5 @@
 #include "net/session.h"
 
-#include <limits>
-
 #include "compress/codec.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -16,9 +14,6 @@ Session::Session(Host* host, Options options)
 
 bool Session::HandleFrame(const FrameView& frame) {
   if (!identified()) {
-    if (frame.type == MessageType::kAck) {
-      return HandleHelloAck(frame);
-    }
     if (frame.type == MessageType::kHello) {
       return HandleHello(frame);
     }
@@ -53,36 +48,15 @@ bool Session::HandleFrame(const FrameView& frame) {
   return false;
 }
 
-bool Session::HandleHelloAck(const FrameView& frame) {
-  const AckMsg hello = DecodeAck(frame);
-  // client_id is int everywhere downstream; a value that truncates (or
-  // lands on the <0 "no id yet" sentinel) would let one connection
-  // register twice and leave a dangling binding on close.
-  if (hello.value >
-      static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    AF_LOG(kWarn) << "net: handshake declared unrepresentable client id "
-                  << hello.value << "; closing";
-    return false;
-  }
-  const int client_id = static_cast<int>(hello.value);
-  if (!host_->BindClient(client_id)) {
-    return false;
-  }
-  client_ids_.push_back(client_id);
-  owned_ids_.insert(client_id);
-  BeginNegotiation();
-  return true;
-}
-
 bool Session::HandleHello(const FrameView& frame) {
   const HelloMsg hello = DecodeHello(frame);
   if (hello.client_ids.empty()) {
-    AF_LOG(kWarn) << "net: multiplexed hello with no client ids; closing";
+    AF_LOG(kWarn) << "net: hello with no client ids; closing";
     return false;
   }
   for (const std::int32_t id : hello.client_ids) {
     if (id < 0) {
-      AF_LOG(kWarn) << "net: multiplexed hello declared negative client id "
+      AF_LOG(kWarn) << "net: hello declared negative client id "
                     << id << "; closing";
       return false;
     }
@@ -94,7 +68,6 @@ bool Session::HandleHello(const FrameView& frame) {
     client_ids_.push_back(static_cast<int>(id));
     owned_ids_.insert(static_cast<int>(id));
   }
-  multiplexed_ = true;
   BeginNegotiation();
   return true;
 }
@@ -160,7 +133,7 @@ bool Session::HandleClientUpdate(const FrameView& frame) {
   // Ack every copy so the sender stops retrying; deliver only the first.
   // Queue-only (no immediate flush): a flush failure here would destroy
   // the session while its owner is still feeding it frames.
-  host_->SendFrame(EncodeAck({msg.job_index}));
+  host_->SendFrame(EncodeAck({msg.client_id, msg.job_index}));
   if (!delivered_.emplace(msg.client_id, msg.job_index).second) {
     host_->OnDuplicateUpdate(msg.client_id, msg.job_index);
     return true;

@@ -6,17 +6,16 @@
 //
 // Per-session state machine:
 //
-//   accepted ──Ack{client_id}──────▶ identified (single client)
-//        │  └─Hello{ids…}──────────▶ identified (multiplexed)
-//        │                              │ offered selects, any order
-//        │                              ▼
-//        │                          handshake complete ──ClientUpdate*──▶ …
+//   accepted ──Hello{ids…}──▶ identified
+//        │                       │ offered selects, any order
+//        │                       ▼
+//        │                   handshake complete ──ClientUpdate*──▶ …
 //        └─ anything else / malformed ──▶ closed (HandleFrame → false)
 //
-// Multiplexed sessions carry many client ids over one connection (the
-// virtual-client pool's hello). Negotiation is identical. Update dedup is
-// keyed (client_id, job_index) so id streams on a shared session cannot
-// collide.
+// One session may carry many client ids (the client pool multiplexes its
+// fleet over a few connections). Every update is acked with its
+// (client_id, job_index) and delivered once: dedup is keyed on the same
+// pair, so the id streams sharing a session cannot collide.
 #pragma once
 
 #include <cstddef>
@@ -72,8 +71,7 @@ class Session {
 
   bool identified() const { return !client_ids_.empty(); }
   bool handshake_complete() const { return handshake_complete_; }
-  bool multiplexed() const { return multiplexed_; }
-  // Bound ids in hello order (one entry for single-client sessions).
+  // Bound ids in hello order.
   const std::vector<int>& client_ids() const { return client_ids_; }
   int primary_id() const {
     return client_ids_.empty() ? -1 : client_ids_.front();
@@ -83,7 +81,6 @@ class Session {
   bool trace_context() const { return trace_context_; }
 
  private:
-  bool HandleHelloAck(const FrameView& frame);
   bool HandleHello(const FrameView& frame);
   bool HandleNegotiation(const FrameView& frame);
   bool HandleClientUpdate(const FrameView& frame);
@@ -97,14 +94,12 @@ class Session {
   Options options_;
   std::vector<int> client_ids_;
   std::set<int> owned_ids_;
-  bool multiplexed_ = false;
   bool handshake_complete_ = false;
   bool awaiting_codec_select_ = false;
   bool awaiting_trace_select_ = false;
   bool trace_context_ = false;
   const compress::Codec* codec_ = nullptr;
-  // Dedup of resent updates, keyed (client_id, job_index) so multiplexed
-  // id streams cannot collide.
+  // Dedup of resent updates, keyed (client_id, job_index).
   std::set<std::pair<int, std::uint64_t>> delivered_;
 };
 

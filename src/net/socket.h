@@ -2,9 +2,10 @@
 // blocking I/O with poll()-based deadlines, and bounded exponential-backoff
 // retry for connects.
 //
-// Connection is what the client workers use (blocking sends/receives with
-// timeouts); the server side keeps raw non-blocking fds inside net::Server
-// and only borrows the framing helpers here.
+// The client pool connects and sends its hello through Connection, then
+// drives the fd non-blocking from its own event loop; tests and benches use
+// the blocking frame I/O directly. The server side keeps raw non-blocking
+// fds inside net::Server and only borrows the framing helpers here.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,8 @@
-// Tests for the virtual-client pool (fl/client_pool.h): the engine's drain
-// semantics, the spec's default resolution, and — the PR's determinism
-// gate — a 5k-virtual-client run against a real net::Server that must be
-// bit-identical whether one worker thread or eight drain the job queue.
+// Tests for the client pool (fl/client_pool.h): the engine's drain
+// semantics, the spec's default resolution, the determinism gate — a
+// 5k-client run against a real net::Server that must be bit-identical
+// whether one worker thread or eight drain the job queue — the resend path
+// under injected uplink faults, and containment of bad server input.
 #include "fl/client_pool.h"
 
 #include <gtest/gtest.h>
@@ -9,12 +10,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "net/frame.h"
 #include "net/server.h"
+#include "net/socket.h"
+#include "obs/metrics.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace fl {
@@ -31,6 +36,11 @@ TEST(ClientPoolSpecTest, ConnectionDefaultsScaleWithPopulation) {
   // An explicit request wins but never exceeds the population.
   EXPECT_EQ(ResolvePoolConnections(8, 5000), 8);
   EXPECT_EQ(ResolvePoolConnections(64, 10), 10);
+  // Armed faults default to one connection per client, so a truncate or
+  // kill takes down only its own client; an explicit request still wins.
+  EXPECT_EQ(ResolvePoolConnections(0, 20, /*faults_armed=*/true), 20);
+  EXPECT_EQ(ResolvePoolConnections(0, 1, /*faults_armed=*/true), 1);
+  EXPECT_EQ(ResolvePoolConnections(4, 20, /*faults_armed=*/true), 4);
 }
 
 TEST(ClientPoolSpecTest, WorkerDefaultsFollowHardware) {
@@ -84,8 +94,9 @@ TEST(VirtualClientEngineTest, TasksSubmittedFromWorkersStillDrain) {
 // job_index. The training function mirrors the production driver: a delta
 // drawn from the (client_id, job_index)-keyed RNG stream, so any change in
 // which worker/connection handled a job would show up as a bit difference.
-std::vector<std::vector<float>> RunVirtualFleet(int kClients, int waves,
-                                                int connections, int workers) {
+std::vector<std::vector<float>> RunVirtualFleet(
+    int kClients, int waves, int connections, int workers,
+    const net::FaultConfig& faults = {}) {
   net::ServerOptions server_options;
   server_options.port = 0;
   server_options.io_timeout_ms = 30000;
@@ -109,6 +120,10 @@ std::vector<std::vector<float>> RunVirtualFleet(int kClients, int waves,
   options.connections = connections;
   options.workers = workers;
   options.seed = 99;
+  options.faults = faults;
+  if (faults.Any()) {
+    options.ack_timeout_ms = 50;  // drops recover in a fraction of a second
+  }
   VirtualClientPool pool(
       options,
       [&rngs](const VirtualJob& job) {
@@ -188,6 +203,91 @@ TEST(VirtualClientPoolTest, SmallPoolRoundTripsJobs) {
   for (const auto& delta : results) {
     ASSERT_EQ(delta.size(), 4u);
   }
+}
+
+TEST(VirtualClientPoolTest, RecoversDroppedDelayedAndDuplicatedUpdates) {
+  // Multiplexed connections with every recoverable fault armed: drops are
+  // resent after the ack timeout, duplicates are deduped by the server on
+  // (client_id, job_index), delays are absorbed — every job still lands
+  // exactly once with the quiet run's bytes.
+  net::FaultConfig faults;
+  faults.drop_prob = 0.2;
+  faults.duplicate_prob = 0.2;
+  faults.delay_prob = 0.2;
+  faults.delay_ms = 2.0;
+  faults.seed = 5;
+  const std::uint64_t resends_before =
+      obs::DefaultRegistry().GetCounter("net.update_resends").Value();
+  const auto quiet = RunVirtualFleet(/*kClients=*/40, /*waves=*/3,
+                                     /*connections=*/4, /*workers=*/2);
+  const auto faulty = RunVirtualFleet(/*kClients=*/40, /*waves=*/3,
+                                      /*connections=*/4, /*workers=*/2,
+                                      faults);
+  ASSERT_EQ(quiet.size(), faulty.size());
+  for (std::size_t job = 0; job < quiet.size(); ++job) {
+    ASSERT_FALSE(faulty[job].empty()) << "job " << job << " never completed";
+    ASSERT_EQ(quiet[job], faulty[job]) << "job " << job << " diverged";
+  }
+  EXPECT_GT(obs::DefaultRegistry().GetCounter("net.update_resends").Value(),
+            resends_before);
+}
+
+TEST(VirtualClientPoolTest, BadServerInputClosesOnlyItsConnection) {
+  // A hand-rolled server sends three broadcasts the pool cannot serve, one
+  // per connection. Each must close just its own connection — never
+  // terminate the process — and the fourth connection must still train.
+  net::Listener listener(0);
+  VirtualPoolOptions options;
+  options.port = listener.port();
+  options.num_clients = 4;
+  options.connections = 4;
+  options.workers = 2;
+  VirtualClientPool pool(
+      options,
+      [](const VirtualJob& job) {
+        // Mirrors Client::TrainOnce's check on the length of the params.
+        AF_CHECK_EQ(job.base.size(), 4u) << "params length mismatch";
+        return job.base;
+      },
+      [](int) { return std::uint64_t{1}; });
+  pool.Start();
+
+  std::map<int, net::Connection> by_client;
+  for (int i = 0; i < 4; ++i) {
+    net::Connection conn(listener.Accept());
+    net::Frame hello;
+    ASSERT_TRUE(conn.RecvFrame(&hello, 5000));
+    const std::vector<std::int32_t> ids = net::DecodeHello(hello).client_ids;
+    ASSERT_EQ(ids.size(), 1u);
+    by_client.emplace(ids[0], std::move(conn));
+  }
+  const std::vector<float> params = {0.5f, -0.25f, 1.0f, 2.0f};
+  auto broadcast = [](std::int32_t client_id, std::vector<float> values) {
+    net::ModelBroadcastMsg msg;
+    msg.job_index = 3;
+    msg.params = std::move(values);
+    msg.client_id = client_id;
+    return net::EncodeModelBroadcast(msg);
+  };
+  by_client.at(0).SendFrame(broadcast(-1, params), 2000);  // no AFVC block
+  by_client.at(1).SendFrame(broadcast(99, params), 2000);  // unknown client
+  by_client.at(2).SendFrame(broadcast(2, {1.0f}), 2000);   // wrong length
+  for (int c = 0; c < 3; ++c) {
+    net::Frame frame;
+    EXPECT_EQ(by_client.at(c).TryRecvFrame(&frame, 10000),
+              net::Connection::RecvStatus::kEof)
+        << "connection of client " << c << " stayed open";
+  }
+
+  by_client.at(3).SendFrame(broadcast(3, params), 2000);
+  net::Frame frame;
+  ASSERT_TRUE(by_client.at(3).RecvFrame(&frame, 10000));
+  const net::ClientUpdateMsg update = net::DecodeClientUpdate(frame);
+  EXPECT_EQ(update.client_id, 3);
+  EXPECT_EQ(update.job_index, 3u);
+  EXPECT_EQ(update.delta, params);
+  by_client.at(3).SendFrame(net::EncodeAck({3, 3}), 2000);
+  pool.Stop();
 }
 
 TEST(VirtualClientPoolTest, StopIsIdempotentAndStartRejectsReuse) {

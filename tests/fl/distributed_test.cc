@@ -1,7 +1,8 @@
 // End-to-end tests of the distributed run mode (--transport=tcp): the same
-// simulation round-tripped over real loopback TCP connections must match the
-// in-process run, and must degrade gracefully when the fault injector turns
-// the wire hostile. These are the slowest tests in the suite.
+// simulation round-tripped over real loopback TCP connections through the
+// client pool must match the in-process run, and must degrade gracefully
+// when the fault injector turns the wire hostile. These are the slowest
+// tests in the suite.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -200,7 +201,6 @@ TEST(DistributedTest, VirtualPoolTcpMatchesInprocBitExactly) {
   const SimulationResult inproc = RunExperiment(config);
 
   config.transport = TransportKind::kTcp;
-  config.pool.mode = ClientPoolSpec::Mode::kVirtual;
   config.pool.connections = 4;
   config.pool.workers = 3;
   const SimulationResult virt = RunExperiment(config);
@@ -209,6 +209,33 @@ TEST(DistributedTest, VirtualPoolTcpMatchesInprocBitExactly) {
   EXPECT_EQ(virt.final_model, inproc.final_model);  // bit-exact
   EXPECT_NEAR(virt.final_accuracy, inproc.final_accuracy, 0.0);
   EXPECT_EQ(virt.evicted_clients, 0u);
+}
+
+TEST(DistributedTest, RecoverableFaultsOnMultiplexedPoolMatchInproc) {
+  // Drops, duplicates and delays on connections shared by five clients
+  // each: resends are keyed (client_id, job_index) end to end, so no fault
+  // can cross over to a neighbour's update and the result stays bit-exact.
+  ExperimentConfig config = SmallConfig(70);
+  config.attack = attacks::AttackKind::kLie;
+  config.defense = DefenseKind::kAsyncFilter;
+  config.sim.rounds = 6;
+
+  config.transport = TransportKind::kInproc;
+  const SimulationResult inproc = RunExperiment(config);
+
+  config.transport = TransportKind::kTcp;
+  config.pool.connections = 4;
+  config.pool.workers = 3;
+  config.net.faults.drop_prob = 0.1;
+  config.net.faults.duplicate_prob = 0.1;
+  config.net.faults.delay_prob = 0.1;
+  config.net.faults.delay_ms = 2.0;
+  config.net.faults.seed = 70;
+  const SimulationResult tcp = RunExperiment(config);
+
+  ASSERT_EQ(tcp.rounds.size(), inproc.rounds.size());
+  EXPECT_EQ(tcp.final_model, inproc.final_model);  // bit-exact
+  EXPECT_EQ(tcp.evicted_clients, 0u);
 }
 
 TEST(DistributedTest, CompletesWhenFifthOfClientsDieMidRun) {

@@ -154,13 +154,13 @@ TEST(EngineEndToEndTest, FrameTargetReachesFeaturesWithinBudget) {
   TempDir dir;
   // One well-formed frame as the seed so mutation starts from the happy
   // path rather than having to invent the magic.
-  const Bytes seed = net::EncodeFrame(net::EncodeAck({7}));
+  const Bytes seed = net::EncodeFrame(net::EncodeHello({{7}}));
 
   Options options;
   options.runs = 4000;
   options.seed = 3;
   options.max_len = 256;
-  options.seed_files = {dir.File("ack_frame", seed)};
+  options.seed_files = {dir.File("hello_frame", seed)};
   Engine engine(&LLVMFuzzerTestOneInput, options);
   const Stats stats = engine.Run();
 

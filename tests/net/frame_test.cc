@@ -31,11 +31,13 @@ TEST(FrameTest, RoundTripsEveryMessageType) {
   update.num_samples = 100;
   update.delta = {-0.5f, 0.25f};
 
-  AckMsg ack{99};
+  // The receipt names both halves of the server's dedup key: job indices
+  // repeat across the clients sharing one connection.
+  AckMsg ack{13, 42};
 
   for (const Frame& frame :
        {EncodeModelBroadcast(broadcast), EncodeClientUpdate(update),
-        EncodeAck(ack), MakeShutdownFrame()}) {
+        EncodeAck(ack), EncodeHello({{13, 14}}), MakeShutdownFrame()}) {
     const std::vector<std::uint8_t> bytes = EncodeFrame(frame);
     Frame decoded;
     ASSERT_EQ(DecodeFrame(bytes, &decoded), bytes.size());
@@ -60,7 +62,9 @@ TEST(FrameTest, RoundTripsEveryMessageType) {
   EXPECT_EQ(u2.num_samples, update.num_samples);
   EXPECT_EQ(u2.delta, update.delta);
 
-  EXPECT_EQ(DecodeAck(EncodeAck(ack)).value, ack.value);
+  const AckMsg a2 = DecodeAck(EncodeAck(ack));
+  EXPECT_EQ(a2.client_id, ack.client_id);
+  EXPECT_EQ(a2.job_index, ack.job_index);
 }
 
 TEST(FrameTest, PartialFrameConsumesNothing) {

@@ -251,7 +251,7 @@ TEST(ReactorSoakTest, ThousandConnectionsAcceptEvictReconnect) {
   auto connect_client = [&server](int id) {
     Connection conn = ConnectWithRetry(server.port(), FastRetry(),
                                        0x50A7 + static_cast<uint64_t>(id));
-    conn.SendFrame(EncodeAck({static_cast<std::uint64_t>(id)}), 1000);
+    conn.SendFrame(EncodeHello({{id}}), 1000);
     return conn;
   };
 

@@ -1,14 +1,15 @@
 // Hostile-handshake regression tests distilled from the fuzzing subsystem
 // (fuzz_server_session found the original defect; see
-// fuzz/regressions/server_session/). A hello whose 64-bit id does not fit
-// in an int used to truncate — 0xFFFFFFFF became −1, the "no id yet"
-// sentinel, so one connection could register twice and leave a dangling
-// by_client_ entry behind on close.
+// fuzz/regressions/server_session/). A hello id outside [0, INT_MAX] —
+// above all −1, the "no id yet" sentinel — used to let one connection
+// register twice and leave a dangling by_client_ entry behind on close; a
+// hello naming an id that is already bound must not steal it either.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "net/frame.h"
@@ -35,18 +36,37 @@ void PumpUntilClosed(Server& server, Connection& conn) {
   FAIL() << "server never closed the hostile connection";
 }
 
+// EncodeHello refuses negative ids, so hostile hellos are hand-rolled:
+// u32 count, then the raw i32 ids.
+Frame RawHello(const std::vector<std::int32_t>& ids) {
+  Frame frame;
+  frame.type = MessageType::kHello;
+  const auto count = static_cast<std::uint32_t>(ids.size());
+  const auto* count_bytes = reinterpret_cast<const std::uint8_t*>(&count);
+  frame.payload.assign(count_bytes, count_bytes + sizeof(count));
+  for (const std::int32_t id : ids) {
+    const auto* id_bytes = reinterpret_cast<const std::uint8_t*>(&id);
+    frame.payload.insert(frame.payload.end(), id_bytes,
+                         id_bytes + sizeof(id));
+  }
+  return frame;
+}
+
 TEST(ServerHostileTest, UnrepresentableHelloIdsAreRejected) {
+  // Ids outside the client-id space [0, INT_MAX]: the −1 sentinel, INT_MIN,
+  // and a negative id behind a valid one (the session binds incrementally,
+  // so the valid prefix must be unbound again on close).
   Server server(ServerOptions{});
-  for (const std::uint64_t id :
-       {std::uint64_t{0xFFFFFFFFull},       // truncates to -1 (sentinel)
-        std::uint64_t{0x100000000ull},      // truncates to 0
-        std::uint64_t{0x80000000ull},       // INT_MAX + 1
-        ~std::uint64_t{0}}) {               // all ones
-    SCOPED_TRACE(id);
+  for (const std::vector<std::int32_t>& ids :
+       std::vector<std::vector<std::int32_t>>{
+           {-1}, {std::numeric_limits<std::int32_t>::min()}, {3, -1}}) {
+    SCOPED_TRACE(testing::Message()
+                 << ids.size() << " id(s), last " << ids.back());
     Connection conn = ConnectWithRetry(server.port(), FastRetry(), 3);
-    conn.SendFrame(EncodeAck({id}), 1000);
+    conn.SendFrame(RawHello(ids), 1000);
     PumpUntilClosed(server, conn);
     EXPECT_EQ(server.ConnectedCount(), 0u);
+    EXPECT_FALSE(server.IsConnected(3));
     EXPECT_FALSE(server.WaitForClients(1, 0));
   }
 }
@@ -54,8 +74,8 @@ TEST(ServerHostileTest, UnrepresentableHelloIdsAreRejected) {
 TEST(ServerHostileTest, BoundaryHelloIdStillWorks) {
   Server server(ServerOptions{});
   Connection conn = ConnectWithRetry(server.port(), FastRetry(), 3);
-  const std::uint64_t id = 0x7FFFFFFFull;  // INT_MAX: representable, valid
-  conn.SendFrame(EncodeAck({id}), 1000);
+  conn.SendFrame(EncodeHello({{std::numeric_limits<std::int32_t>::max()}}),
+                 1000);  // INT_MAX: representable, valid
   for (int i = 0; i < 200 && !server.IsConnected(0x7FFFFFFF); ++i) {
     server.PollOnce(1);
   }
@@ -70,17 +90,20 @@ TEST(ServerHostileTest, GoodClientSurvivesHostileHello) {
       [&disconnected](int id) { disconnected.push_back(id); });
 
   Connection good = ConnectWithRetry(server.port(), FastRetry(), 3);
-  good.SendFrame(EncodeAck({1}), 1000);
+  good.SendFrame(EncodeHello({{1}}), 1000);
   for (int i = 0; i < 200 && !server.IsConnected(1); ++i) {
     server.PollOnce(1);
   }
   ASSERT_TRUE(server.IsConnected(1));
 
-  Connection hostile = ConnectWithRetry(server.port(), FastRetry(), 3);
-  hostile.SendFrame(EncodeAck({0xFFFFFFFFull}), 1000);
-  PumpUntilClosed(server, hostile);
+  // A negative id, and a second claim on the good client's id.
+  for (const Frame& hello : {RawHello({-1}), EncodeHello({{1}})}) {
+    Connection hostile = ConnectWithRetry(server.port(), FastRetry(), 3);
+    hostile.SendFrame(hello, 1000);
+    PumpUntilClosed(server, hostile);
+  }
 
-  // Only the hostile connection fell; the established session is intact
+  // Only the hostile connections fell; the established session is intact
   // and the bookkeeping walk (WaitForClients dereferences every by_client_
   // entry) stays clean — the dangling-pointer failure mode under ASan.
   EXPECT_TRUE(server.IsConnected(1));

@@ -85,15 +85,18 @@ TEST(SocketTest, FrameRoundTripOverLoopback) {
     Connection server_side(listener.Accept());
     Frame frame;
     ASSERT_TRUE(server_side.RecvFrame(&frame, 2000));
-    const AckMsg hello = DecodeAck(frame);
-    server_side.SendFrame(EncodeAck({hello.value + 1}), 2000);
+    const HelloMsg hello = DecodeHello(frame);
+    ASSERT_EQ(hello.client_ids.size(), 1u);
+    server_side.SendFrame(EncodeAck({hello.client_ids[0], 42}), 2000);
   });
 
   Connection client = ConnectWithRetry(listener.port(), RetryConfig{}, 3);
-  client.SendFrame(EncodeAck({41}), 2000);
+  client.SendFrame(EncodeHello({{41}}), 2000);
   Frame reply;
   ASSERT_TRUE(client.RecvFrame(&reply, 2000));
-  EXPECT_EQ(DecodeAck(reply).value, 42u);
+  const AckMsg ack = DecodeAck(reply);
+  EXPECT_EQ(ack.client_id, 41);
+  EXPECT_EQ(ack.job_index, 42u);
   peer.join();
 }
 
@@ -157,7 +160,7 @@ TEST(ServerTest, HandshakeUpdateAckAndDedup) {
   std::atomic<int> acks_received{0};
   std::thread client_thread([&acks_received, port = server.port()] {
     Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    conn.SendFrame(EncodeAck({7}), 2000);  // hello: client_id = 7
+    conn.SendFrame(EncodeHello({{7}}), 2000);
     ClientUpdateMsg update;
     update.client_id = 7;
     update.job_index = 1;
@@ -169,7 +172,9 @@ TEST(ServerTest, HandshakeUpdateAckAndDedup) {
     Frame ack;
     while (acks_received < 2 &&
            conn.TryRecvFrame(&ack, 5000) == Connection::RecvStatus::kFrame) {
-      EXPECT_EQ(DecodeAck(ack).value, 1u);
+      const AckMsg receipt = DecodeAck(ack);
+      EXPECT_EQ(receipt.client_id, 7);
+      EXPECT_EQ(receipt.job_index, 1u);
       ++acks_received;
     }
   });
@@ -197,7 +202,7 @@ TEST(ServerTest, EvictFiresDisconnectHandler) {
 
   std::thread client_thread([port = server.port()] {
     Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    conn.SendFrame(EncodeAck({3}), 2000);
+    conn.SendFrame(EncodeHello({{3}}), 2000);
     Frame frame;  // wait for the server to cut us off
     while (conn.TryRecvFrame(&frame, 100) != Connection::RecvStatus::kEof) {
     }
@@ -219,7 +224,7 @@ TEST(ServerTest, CodecNegotiationCompletesHandshake) {
   std::atomic<bool> got_offer{false};
   std::thread client_thread([&got_offer, port = server.port()] {
     Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    conn.SendFrame(EncodeAck({9}), 2000);  // hello
+    conn.SendFrame(EncodeHello({{9}}), 2000);
     Frame frame;
     EXPECT_TRUE(conn.RecvFrame(&frame, 5000));
     const CodecOfferMsg offer = DecodeCodecOffer(frame);
@@ -249,7 +254,7 @@ TEST(ServerTest, IdentitySelectionIsAlwaysAcceptedAndMapsToNull) {
 
   std::thread client_thread([port = server.port()] {
     Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    conn.SendFrame(EncodeAck({2}), 2000);
+    conn.SendFrame(EncodeHello({{2}}), 2000);
     Frame frame;
     EXPECT_TRUE(conn.RecvFrame(&frame, 5000));  // the offer
     conn.SendFrame(EncodeCodecSelect({"identity"}), 2000);
@@ -274,7 +279,7 @@ TEST(ServerTest, MalformedCompressedUpdateEvictsClientNotServer) {
   std::thread bad_client([port = server.port()] {
     try {
       Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-      conn.SendFrame(EncodeAck({4}), 2000);
+      conn.SendFrame(EncodeHello({{4}}), 2000);
       Frame frame = EncodeClientUpdate(
           {.client_id = 4, .job_index = 0, .base_round = 0, .num_samples = 8,
            .delta = {1.0f, 2.0f, 3.0f, 4.0f}},
@@ -312,14 +317,16 @@ TEST(ServerTest, MalformedCompressedUpdateEvictsClientNotServer) {
   std::thread good_client([port = server.port()] {
     try {
       Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-      conn.SendFrame(EncodeAck({5}), 2000);
+      conn.SendFrame(EncodeHello({{5}}), 2000);
       conn.SendFrame(EncodeClientUpdate({.client_id = 5, .job_index = 7,
                                          .num_samples = 8, .delta = {0.5f}},
                                         &compress::Get("fp16")),
                      2000);
       Frame ack;
       if (conn.RecvFrame(&ack, 10000)) {
-        EXPECT_EQ(DecodeAck(ack).value, 7u);
+        const AckMsg receipt = DecodeAck(ack);
+        EXPECT_EQ(receipt.client_id, 5);
+        EXPECT_EQ(receipt.job_index, 7u);
       } else {
         ADD_FAILURE() << "no ack for the well-formed compressed update";
       }
@@ -340,7 +347,7 @@ TEST(ServerTest, MalformedHelloClosesConnection) {
   Server server(ServerOptions{});
   std::thread client_thread([port = server.port()] {
     Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    // First frame must be an Ack hello; a ClientUpdate is a protocol error.
+    // First frame must be a Hello; a ClientUpdate is a protocol error.
     conn.SendFrame(EncodeClientUpdate({.client_id = 1, .job_index = 0,
                                        .num_samples = 1, .delta = {}}),
                    2000);
