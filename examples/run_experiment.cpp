@@ -34,8 +34,8 @@
 //   --fault-delay-ms  mean injected delay in milliseconds
 //   --fault-kill      fraction of clients whose connection dies mid-run
 //   --compress        identity | fp16 | int8 | topk-delta   [none]
-//                     update-compression codec; over tcp it is negotiated in
-//                     the handshake, inproc mirrors the same lossy round
+//                     update-compression codec; over tcp server and pool
+//                     both use it, inproc mirrors the same lossy round
 //                     trip so both transports stay bit-identical
 //   --list-codecs     print every registered codec name and exit
 //
@@ -43,9 +43,9 @@
 //   --jsonl FILE       per-round telemetry as JSON lines
 //   --trace-out FILE   Chrome trace-event JSON of the run's internal spans
 //                      (open in chrome://tracing or ui.perfetto.dev);
-//                      implicitly enables span collection; over tcp it also
-//                      enables trace-context propagation so client and
-//                      server spans share trace ids (tools/merge_traces.py)
+//                      implicitly enables span collection; over tcp the
+//                      client train and server defense spans of one job
+//                      share a trace id, derived on both sides
 //   --metrics-out FILE metrics-registry snapshot JSON (counters, gauges,
 //                      latency histograms with p50/p95/p99)
 //   --metrics-port N   serve /metrics (Prometheus), /healthz, /spans over
@@ -200,10 +200,6 @@ int main(int argc, char** argv) {
       std::signal(SIGTERM, HandleStopSignal);
       std::signal(SIGINT, HandleStopSignal);
     }
-
-    // With tracing on, a tcp run also propagates trace context over the
-    // wire so client train spans and server defense spans share trace ids.
-    config.net.trace_context = flags.Has("trace-out");
 
     // Live observability plane: scrape endpoint + audit trail. Both are
     // observation-only — results are bit-identical with them on or off.

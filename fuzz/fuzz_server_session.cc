@@ -1,6 +1,6 @@
 // Stateful fuzz target: a real net::Server driven through its
-// accept → handshake → negotiate → update state machine by an adversarial
-// byte stream, with the PR 5 eviction guarantee checked as an executable
+// accept → Hello → established → update state machine by an adversarial
+// byte stream, with the eviction guarantee checked as an executable
 // invariant on every input:
 //
 //   * the process never crashes (memory safety under ASan/UBSan);
@@ -9,8 +9,8 @@
 //     every adversarial exec (checked via the disconnect callback AND by
 //     delivering a real broadcast to it periodically);
 //   * after the attacker is gone, a fresh well-formed client session
-//     (hello, codec + trace negotiation, one update, ack) still completes
-//     against the same server instance.
+//     (one Hello, one update, its ack) still completes against the same
+//     server instance.
 //
 // Invariant violations throw std::runtime_error, which both the bundled
 // engine and real libFuzzer report as a crash with the input saved.
@@ -39,15 +39,7 @@ net::RetryConfig FastRetry() {
 }
 
 struct World {
-  explicit World()
-      : server([] {
-          net::ServerOptions options;
-          options.port = 0;
-          options.io_timeout_ms = 1000;
-          options.advertised_codecs = {"fp16", "int8"};
-          options.offer_trace_context = true;
-          return options;
-        }()) {}
+  World() : server(net::ServerOptions{.port = 0, .io_timeout_ms = 1000}) {}
 
   net::Server server;
   net::Connection good;
@@ -66,36 +58,24 @@ void Pump(World& world, int ticks) {
   }
 }
 
-// Client side of the full handshake: hello, then answer the CodecOffer /
-// TraceOffer the server queues in response.
-void CompleteHandshake(World& world, net::Connection& conn, int client_id,
-                       const std::string& codec) {
-  conn.SendFrame(net::EncodeHello({{client_id}}), 1000);
-  bool codec_done = false;
-  bool trace_done = false;
-  for (int i = 0; i < 200 && !(codec_done && trace_done); ++i) {
-    world.server.PollOnce(1);
-    net::Frame frame;
-    const auto status = conn.TryRecvFrame(&frame, 5);
-    if (status != net::Connection::RecvStatus::kFrame) {
-      continue;
+// Client side of the handshake: one Hello, which establishes the session
+// as soon as the server reads it.
+void CompleteHandshake(World& world, net::Connection& conn,
+                       const std::vector<std::int32_t>& client_ids) {
+  conn.SendFrame(net::EncodeHello({client_ids}), 1000);
+  auto all_connected = [&] {
+    for (const std::int32_t id : client_ids) {
+      if (!world.server.IsConnected(id)) {
+        return false;
+      }
     }
-    if (frame.type == net::MessageType::kCodecOffer) {
-      conn.SendFrame(net::EncodeCodecSelect({codec}), 1000);
-      codec_done = true;
-    } else if (frame.type == net::MessageType::kTraceOffer) {
-      conn.SendFrame(net::EncodeTraceSelect({false}), 1000);
-      trace_done = true;
-    }
-  }
-  if (!(codec_done && trace_done)) {
-    throw std::runtime_error("invariant: handshake offers never arrived");
-  }
-  for (int i = 0; i < 200 && !world.server.IsConnected(client_id); ++i) {
+    return true;
+  };
+  for (int i = 0; i < 200 && !all_connected(); ++i) {
     world.server.PollOnce(1);
   }
-  if (!world.server.IsConnected(client_id)) {
-    throw std::runtime_error("invariant: handshake did not complete");
+  if (!all_connected()) {
+    throw std::runtime_error("invariant: handshake did not bind every id");
   }
 }
 
@@ -105,7 +85,7 @@ void RunWellFormedSession(World& world) {
   const int id = static_cast<int>(world.next_session_id++);
   net::Connection conn =
       net::ConnectWithRetry(world.server.port(), FastRetry(), 7);
-  CompleteHandshake(world, conn, id, "fp16");
+  CompleteHandshake(world, conn, {id});
 
   net::ClientUpdateMsg update;
   update.client_id = id;
@@ -135,7 +115,7 @@ void RunWellFormedSession(World& world) {
 }
 
 // Multiplexed flavor: one connection announces two client ids in its
-// hello, negotiates once, and must get an ack naming each id's update —
+// hello and must get an ack naming each id's update —
 // proving the adversarial stream didn't corrupt the session layer's mux
 // bookkeeping either.
 void RunMuxSession(World& world) {
@@ -143,35 +123,7 @@ void RunMuxSession(World& world) {
   const int id_b = static_cast<int>(world.next_session_id++);
   net::Connection conn =
       net::ConnectWithRetry(world.server.port(), FastRetry(), 11);
-  conn.SendFrame(net::EncodeHello({{id_a, id_b}}), 1000);
-  bool codec_done = false;
-  bool trace_done = false;
-  for (int i = 0; i < 200 && !(codec_done && trace_done); ++i) {
-    world.server.PollOnce(1);
-    net::Frame frame;
-    if (conn.TryRecvFrame(&frame, 5) != net::Connection::RecvStatus::kFrame) {
-      continue;
-    }
-    if (frame.type == net::MessageType::kCodecOffer) {
-      conn.SendFrame(net::EncodeCodecSelect({"identity"}), 1000);
-      codec_done = true;
-    } else if (frame.type == net::MessageType::kTraceOffer) {
-      conn.SendFrame(net::EncodeTraceSelect({false}), 1000);
-      trace_done = true;
-    }
-  }
-  if (!(codec_done && trace_done)) {
-    throw std::runtime_error("invariant: mux handshake offers never arrived");
-  }
-  for (int i = 0;
-       i < 200 && !(world.server.IsConnected(id_a) &&
-                    world.server.IsConnected(id_b));
-       ++i) {
-    world.server.PollOnce(1);
-  }
-  if (!world.server.IsConnected(id_a) || !world.server.IsConnected(id_b)) {
-    throw std::runtime_error("invariant: mux session did not bind both ids");
-  }
+  CompleteHandshake(world, conn, {id_a, id_b});
   std::set<int> acked;
   for (int id : {id_a, id_b}) {
     net::ClientUpdateMsg update;
@@ -207,7 +159,7 @@ void InitWorld() {
   world.server.SetDisconnectHandler(
       [](int client_id) { g_world->disconnected.push_back(client_id); });
   world.good = net::ConnectWithRetry(world.server.port(), FastRetry(), 3);
-  CompleteHandshake(world, world.good, kGoodClientId, "identity");
+  CompleteHandshake(world, world.good, {kGoodClientId});
 }
 
 // Delivers a real broadcast to the good client, proving its by_client_
@@ -216,6 +168,7 @@ void ProbeGoodClient(World& world) {
   net::ModelBroadcastMsg msg;
   msg.round = world.execs;
   msg.job_index = world.execs;
+  msg.client_id = kGoodClientId;
   msg.params = {1.0f, 2.0f};
   if (!world.server.SendTo(kGoodClientId, net::EncodeModelBroadcast(msg))) {
     throw std::runtime_error("invariant: good client unreachable");
@@ -227,7 +180,8 @@ void ProbeGoodClient(World& world) {
     if (world.good.TryRecvFrame(&frame, 5) ==
         net::Connection::RecvStatus::kFrame) {
       const auto decoded = net::DecodeModelBroadcast(frame);
-      if (decoded.job_index != world.execs) {
+      if (decoded.job_index != world.execs ||
+          decoded.client_id != kGoodClientId) {
         throw std::runtime_error("invariant: wrong broadcast delivered");
       }
       return;

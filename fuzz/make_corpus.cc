@@ -114,24 +114,18 @@ void MakeFrameSeeds(const fs::path& dir) {
   WriteSeed(dir, "hello_mux",
             net::EncodeFrame(net::EncodeHello({{0, 4, 8, 12}})));
   WriteSeed(dir, "ack", net::EncodeFrame(net::EncodeAck({3, 7})));
-  WriteSeed(dir, "codec_offer",
-            net::EncodeFrame(net::EncodeCodecOffer({{"fp16", "int8"}})));
-  WriteSeed(dir, "codec_select",
-            net::EncodeFrame(net::EncodeCodecSelect({"fp16"})));
-  WriteSeed(dir, "trace_offer",
-            net::EncodeFrame(net::EncodeTraceOffer({})));
-  WriteSeed(dir, "trace_select",
-            net::EncodeFrame(net::EncodeTraceSelect({true})));
   WriteSeed(dir, "shutdown", net::EncodeFrame(net::MakeShutdownFrame()));
 
   net::ModelBroadcastMsg broadcast;
   broadcast.round = 3;
   broadcast.job_index = 7;
+  broadcast.client_id = 3;
   broadcast.params = params;
-  broadcast.trace_id = 0x1122334455667788ull;
-  broadcast.parent_span_id = 0x99aabbccddeeff00ull;
-  WriteSeed(dir, "broadcast_traced",
+  WriteSeed(dir, "broadcast_raw",
             net::EncodeFrame(net::EncodeModelBroadcast(broadcast)));
+  WriteSeed(dir, "broadcast_fp16",
+            net::EncodeFrame(net::EncodeModelBroadcast(
+                broadcast, &compress::Get("fp16"))));
 
   net::ClientUpdateMsg update;
   update.client_id = 3;
@@ -157,7 +151,7 @@ void MakeFrameSeeds(const fs::path& dir) {
 }
 
 void MakeServerSessionSeeds(const fs::path& dir) {
-  // A full well-formed session: hello, both selects, one update.
+  // A full well-formed session: hello, one update.
   net::ClientUpdateMsg update;
   update.client_id = 5;
   update.job_index = 1;
@@ -165,8 +159,6 @@ void MakeServerSessionSeeds(const fs::path& dir) {
   update.num_samples = 10;
   update.delta = Ramp(6);
   std::vector<std::uint8_t> good = net::EncodeFrame(net::EncodeHello({{5}}));
-  Append(good, net::EncodeFrame(net::EncodeCodecSelect({"identity"})));
-  Append(good, net::EncodeFrame(net::EncodeTraceSelect({false})));
   Append(good, net::EncodeFrame(net::EncodeClientUpdate(update)));
   WriteSeed(dir, "full_session", good);
 

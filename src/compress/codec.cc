@@ -334,4 +334,12 @@ bool IsIdentity(const Codec& codec) {
   return util::CanonicalName(codec.name()) == "identity";
 }
 
+const Codec* Resolve(const std::string& name) {
+  if (name.empty()) {
+    return nullptr;
+  }
+  const Codec& codec = Get(name);
+  return IsIdentity(codec) ? nullptr : &codec;
+}
+
 }  // namespace compress

@@ -157,11 +157,16 @@ const Codec& Get(const std::string& name);
 bool Has(const std::string& name);
 std::vector<std::string> ListNames();
 
-// The lossless pass-through codec (negotiation fallback).
+// The lossless pass-through codec.
 const Codec& Identity();
 
 // True when `codec` is the identity codec (by canonical name).
 bool IsIdentity(const Codec& codec);
+
+// A run's codec setting as callers use it: nullptr for an empty name or
+// the identity codec (the no-op everywhere downstream), the registered
+// codec otherwise. Throws util::CheckError on unknown names.
+const Codec* Resolve(const std::string& name);
 
 // Registers a codec at static-initialization time:
 //   static const compress::RegistryEntry kReg{&my_codec, {"alias"}};

@@ -153,7 +153,6 @@ struct PoolConn {
   };
 
   net::Connection conn;  // closed → the connection is done
-  const compress::Codec* codec = nullptr;  // set by the handshake
   std::vector<std::uint8_t> in;
   std::size_t in_offset = 0;
   std::deque<Segment> out;
@@ -210,6 +209,7 @@ struct Finished {
 
 struct VirtualClientPool::Impl {
   VirtualPoolOptions options;
+  const compress::Codec* codec = nullptr;  // options.codec, resolved
   TrainFn train;
   NumSamplesFn num_samples;
 
@@ -384,29 +384,9 @@ struct VirtualClientPool::Impl {
         }
         return;  // otherwise a stale receipt (duplicate, earlier job)
       }
-      case net::MessageType::kCodecOffer: {
-        // Pick the first offered codec this build knows; identity otherwise.
-        const net::CodecOfferMsg offer = net::DecodeCodecOffer(frame);
-        std::string pick = "identity";
-        for (const std::string& name : offer.codecs) {
-          if (compress::Has(name)) {
-            pick = name;
-            break;
-          }
-        }
-        QueueFrame(pc, net::EncodeCodecSelect({pick}));
-        const compress::Codec& selected = compress::Get(pick);
-        pc.codec = compress::IsIdentity(selected) ? nullptr : &selected;
-        return;
-      }
-      case net::MessageType::kTraceOffer:
-        net::DecodeTraceOffer(frame);
-        QueueFrame(pc, net::EncodeTraceSelect({options.trace_context}));
-        return;
       case net::MessageType::kModelBroadcast: {
+        // The decoder has already rejected a negative client id.
         const net::ModelBroadcastMsg msg = net::DecodeModelBroadcast(frame);
-        AF_CHECK_GE(msg.client_id, 0)
-            << "broadcast without an AFVC client-id block";
         AF_CHECK_LT(msg.client_id, options.num_clients)
             << "broadcast for unknown client " << msg.client_id;
         VirtualClient& c = clients[static_cast<std::size_t>(msg.client_id)];
@@ -416,8 +396,6 @@ struct VirtualClientPool::Impl {
         job.client_id = msg.client_id;
         job.job_index = msg.job_index;
         job.round = msg.round;
-        job.trace_id = msg.trace_id;
-        job.parent_span_id = msg.parent_span_id;
         // Owned copy: the frame buffer is recycled as soon as we return.
         job.base.assign(msg.params.begin(), msg.params.end());
         jobs.Increment();
@@ -426,7 +404,7 @@ struct VirtualClientPool::Impl {
           return;
         }
         c.busy = true;
-        SubmitJob(pc, std::move(job));
+        SubmitJob(std::move(job));
         return;
       }
       default:
@@ -441,13 +419,6 @@ struct VirtualClientPool::Impl {
              std::size_t size) {
     pc.bytes_queued += size;
     pc.out.push_back({std::move(bytes), size});
-  }
-
-  void QueueFrame(PoolConn& pc, const net::Frame& frame) {
-    auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
-        net::EncodeFrame(frame));
-    const std::size_t size = bytes->size();
-    Queue(pc, std::move(bytes), size);
   }
 
   void FlushConn(PoolConn& pc) {
@@ -631,18 +602,17 @@ struct VirtualClientPool::Impl {
     if (it->second.empty()) {
       backlog.erase(it);
     }
-    SubmitJob(*c.conn, std::move(next));
+    SubmitJob(std::move(next));
   }
 
   // --- engine side ------------------------------------------------------
 
-  void SubmitJob(const PoolConn& pc, VirtualJob job) {
-    engine->Submit([this, codec = pc.codec, job = std::move(job)]() mutable {
-      RunJob(codec, std::move(job));
-    });
+  void SubmitJob(VirtualJob job) {
+    engine->Submit(
+        [this, job = std::move(job)]() mutable { RunJob(std::move(job)); });
   }
 
-  void RunJob(const compress::Codec* codec, VirtualJob job) {
+  void RunJob(VirtualJob job) {
     Finished done;
     done.client_id = job.client_id;
     done.job_index = job.job_index;
@@ -656,19 +626,15 @@ struct VirtualClientPool::Impl {
       update.job_index = job.job_index;
       update.base_round = job.round;
       update.num_samples = num_samples(job.client_id);
-      // Echo the broadcast's trace id; the train span below and the
-      // server's defense span share it, which is the join key
-      // tools/merge_traces.py stitches timelines on.
-      update.trace_id = job.trace_id;
-      update.parent_span_id = TrainSpanId(job.trace_id);
       std::vector<float> delta;
       {
-        obs::ScopedSpan span(
-            "net.worker.train",
-            job.trace_id == 0
-                ? obs::TraceContext{}
-                : obs::TraceContext{job.trace_id, TrainSpanId(job.trace_id),
-                                    job.parent_span_id});
+        // The server derives the same trace id for this job's defense span,
+        // so the two spans join on it without it ever crossing the wire.
+        const std::uint64_t trace_id =
+            TraceIdFor(options.seed, job.client_id, job.job_index);
+        obs::ScopedSpan span("net.worker.train",
+                             {trace_id, TrainSpanId(trace_id),
+                              DispatchSpanId(trace_id)});
         delta = train(job);
       }
       update.delta = net::UpdateView(std::span<const float>(delta), nullptr);
@@ -696,6 +662,7 @@ VirtualClientPool::VirtualClientPool(VirtualPoolOptions options,
   AF_CHECK(train != nullptr);
   AF_CHECK(num_samples != nullptr);
   impl_->options = options;
+  impl_->codec = compress::Resolve(options.codec);
   impl_->train = std::move(train);
   impl_->num_samples = std::move(num_samples);
 }

@@ -7,7 +7,7 @@
 //   pump thread (client-side net::Reactor)     engine workers
 //   ───────────────────────────────────────    ─────────────────────────
 //   reads sockets, demuxes ModelBroadcasts     pop job → optional latency
-//   by their AFVC client-id block, submits     sleep → train fn → encode
+//   by the client id in their header, submits  sleep → train fn → encode
 //   jobs; sends each finished update through   ClientUpdate → hand back to
 //   its client's fault injector, holds it      the pump (Reactor::Wakeup)
 //   until acked, resends on timeout
@@ -27,14 +27,20 @@
 // connection count, since the server assigns results by job position, not
 // arrival order.
 //
-// Bad input from the server (malformed frames, a broadcast without a valid
-// client-id block, a job whose training throws) closes only the connection
-// it arrived on; the other connections keep running.
+// The pool is built from the same spec as the server, so nothing is
+// negotiated: it encodes updates with `VirtualPoolOptions::codec` and
+// derives each job's trace id from (seed, client, job), as the server does
+// (fl/trace_context.h).
+//
+// Bad input from the server (malformed frames, a broadcast for a client
+// the connection does not carry, a job whose training throws) closes only
+// the connection it arrived on; the other connections keep running.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/fault_injector.h"
@@ -81,8 +87,6 @@ struct VirtualJob {
   int client_id = -1;
   std::uint64_t job_index = 0;
   std::uint64_t round = 0;
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span_id = 0;
   std::vector<float> base;
 };
 
@@ -112,7 +116,7 @@ struct VirtualPoolOptions {
   int connections = 0;  // 0 → ResolvePoolConnections default
   int workers = 0;      // 0 → ResolvePoolWorkers default
   int io_timeout_ms = 10000;
-  bool trace_context = false;  // answer the server's TraceOffer with this
+  std::string codec;           // uplink codec name; empty → identity
   net::RetryConfig retry;      // connect retry + update resend backoff
   int ack_timeout_ms = 250;    // resend an update unacked this long
   net::FaultConfig faults;     // uplink fault injection (off by default)

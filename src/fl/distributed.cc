@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "compress/codec.h"
-#include "fl/trace_context.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -32,13 +31,16 @@ std::uint64_t NowNs() {
 class TcpBackend : public TrainBackend {
  public:
   TcpBackend(net::Server* server, std::vector<std::size_t> num_samples,
-             const TransportOptions& options, std::uint64_t seed)
+             const TransportOptions& options)
       : server_(server),
         num_samples_(std::move(num_samples)),
         alive_(num_samples_.size(), true),
         alive_count_(num_samples_.size()),
         options_(options),
-        seed_(seed),
+        codec_(compress::Resolve(options.codec)),
+        broadcast_codec_(codec_ != nullptr && codec_->broadcast_safe()
+                             ? codec_
+                             : nullptr),
         rtt_us_(obs::DefaultRegistry().GetHistogram("net.job_rtt_us")) {
     server_->SetUpdateHandler(
         [this](int client_id, net::ClientUpdateMsg msg) {
@@ -73,26 +75,14 @@ class TcpBackend : public TrainBackend {
       net::ModelBroadcastMsg msg;
       msg.round = job.dispatch_round;
       msg.job_index = job.job_index;
+      // Names the client, so a connection carrying many can demux the job.
+      msg.client_id = job.client_id;
       // Borrowed view over the shared base — the encoder reads it in place,
       // no per-job copy of the model.
       msg.params = net::UpdateView(std::span<const float>(*job.base),
                                    job.base);
-      // The AFVC block names the client, so a connection carrying many can
-      // demux the job.
-      msg.client_id = job.client_id;
-      if (options_.trace_context &&
-          server_->ClientTraceContext(job.client_id)) {
-        msg.trace_id = TraceIdFor(seed_, job.client_id, job.job_index);
-        msg.parent_span_id = DispatchSpanId(msg.trace_id);
-      }
-      // Downlink codec: the client's negotiated pick when it can carry full
-      // params; identity (legacy bytes) for delta-only codecs.
-      const compress::Codec* codec = server_->ClientCodec(job.client_id);
-      if (codec != nullptr && !codec->broadcast_safe()) {
-        codec = nullptr;
-      }
       if (!server_->SendTo(job.client_id,
-                           net::EncodeModelBroadcast(msg, codec))) {
+                           net::EncodeModelBroadcast(msg, broadcast_codec_))) {
         MarkDead(job.client_id);
         continue;
       }
@@ -161,9 +151,8 @@ class TcpBackend : public TrainBackend {
         << "client " << client_id << " reported inconsistent sample count";
     rtt_us_.Record(static_cast<double>(NowNs() - it->second.sent_ns) / 1e3);
     AF_CHECK(current_deltas_ != nullptr);
-    const compress::Codec* codec = server_->ClientCodec(client_id);
     wire_stats_[{client_id, msg.job_index}] = {
-        codec != nullptr ? codec->name() : "identity", msg.wire_bytes};
+        codec_ != nullptr ? codec_->name() : "identity", msg.wire_bytes};
     // Each job position is unique, so the update goes straight into its
     // slot. The delta either owns its floats already (lossy decode
     // materialized them) or aliases the connection's read buffer, which
@@ -189,7 +178,10 @@ class TcpBackend : public TrainBackend {
   std::vector<bool> alive_;
   std::size_t alive_count_ = 0;
   TransportOptions options_;
-  std::uint64_t seed_ = 0;
+  // The run's codec (null = identity) and the subset of it the downlink
+  // can carry: delta-only codecs broadcast raw AFPM.
+  const compress::Codec* codec_;
+  const compress::Codec* broadcast_codec_;
   obs::Histogram& rtt_us_;
   std::map<std::pair<int, std::uint64_t>, Pending> outstanding_;
   std::map<std::pair<int, std::uint64_t>, WireStats> wire_stats_;
@@ -252,13 +244,9 @@ SimulationResult DistributedDriver::Run() {
   net::ServerOptions server_options;
   server_options.port = spec.transport.port;
   server_options.io_timeout_ms = spec.transport.io_timeout_ms;
-  server_options.offer_trace_context = spec.transport.trace_context;
-  if (!spec.transport.codec.empty()) {
-    // Validate the name up front (throws with the known-codec list) and
-    // advertise it; clients pick it during their handshake.
-    compress::Get(spec.transport.codec);
-    server_options.advertised_codecs = {spec.transport.codec};
-  }
+  // Validate the codec name up front (throws with the known-codec list)
+  // before any socket or pool thread exists.
+  compress::Resolve(spec.transport.codec);
   impl.server = std::make_unique<net::Server>(server_options);
   AF_LOG(kInfo) << "net: server listening on 127.0.0.1:"
                 << impl.server->port();
@@ -286,7 +274,7 @@ SimulationResult DistributedDriver::Run() {
   pool_options.connections = spec.pool.connections;
   pool_options.workers = spec.pool.workers;
   pool_options.io_timeout_ms = spec.transport.io_timeout_ms;
-  pool_options.trace_context = spec.transport.trace_context;
+  pool_options.codec = spec.transport.codec;
   pool_options.retry = spec.transport.retry;
   pool_options.ack_timeout_ms = spec.transport.ack_timeout_ms;
   pool_options.faults = spec.transport.faults;
@@ -319,7 +307,7 @@ SimulationResult DistributedDriver::Run() {
         << spec.clients.size() << " clients completed the handshake";
 
     TcpBackend backend(impl.server.get(), std::move(num_samples),
-                       spec.transport, spec.sim.seed);
+                       spec.transport);
     ExperimentSpec sim_spec;
     sim_spec.sim = spec.sim;
     sim_spec.model = spec.model;

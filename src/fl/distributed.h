@@ -41,19 +41,12 @@ struct TransportOptions {
   int handshake_timeout_ms = 10000;
   net::RetryConfig retry;      // connect retry + update resend backoff
   net::FaultConfig faults;     // wire fault injection (off by default)
-  // Update-compression codec name (compress/codec.h). Empty → no codec
-  // negotiation, legacy wire bytes. Non-empty (including "identity") makes
-  // the server advertise it; clients pick it during the handshake, encode
-  // uplink deltas with it, and broadcast-safe codecs also compress the
-  // downlink. Delta-only codecs (int8, topk-delta) fall back to identity
-  // for broadcasts.
+  // Update-compression codec name (compress/codec.h); empty → identity.
+  // Server and pool both read it from this spec: clients encode uplink
+  // deltas with it, and broadcast-safe codecs also compress the downlink.
+  // Delta-only codecs (int8, topk-delta) fall back to identity for
+  // broadcasts.
   std::string codec;
-  // Trace-context propagation: the server offers it during the handshake
-  // and, for clients that accept, stamps each job's broadcast with a
-  // deterministic trace id (fl/trace_context.h) that the client echoes on
-  // its update. Ids are pure functions of (seed, client, job), so enabling
-  // this never perturbs results. Off → legacy wire bytes.
-  bool trace_context = false;
 };
 
 // Everything a distributed run needs, in one bag — the mirror of

@@ -86,7 +86,7 @@ struct ExperimentConfig {
   ClientPoolSpec pool;
 
   // Update-compression codec (compress/codec.h registry name; empty →
-  // none). Over tcp the codec is negotiated and applied on the wire; inproc
+  // none). Over tcp server and pool both apply it on the wire; inproc
   // runs mirror the same lossy round trip, so the two transports stay
   // bit-identical under the same setting. Also compresses checkpoint model
   // pools for broadcast-safe codecs.

@@ -30,11 +30,7 @@ Simulation::Simulation(ExperimentSpec spec)
       rngs_(spec.sim.seed),
       participation_rng_(rngs_.Stream("participation")),
       server_rng_(rngs_.Stream("server-defense")) {
-  const compress::Codec* codec =
-      spec.codec.empty() ? nullptr : &compress::Get(spec.codec);
-  if (codec != nullptr && compress::IsIdentity(*codec)) {
-    codec = nullptr;  // identity is the no-op everywhere downstream
-  }
+  const compress::Codec* codec = compress::Resolve(spec.codec);
   if (spec.backend != nullptr) {
     AF_CHECK(spec.clients.empty())
         << "ExperimentSpec: set either `backend` or `clients`+`pool`, not both";

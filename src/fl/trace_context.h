@@ -1,11 +1,10 @@
-// Deterministic cross-process trace ids.
+// Deterministic trace ids shared by server and client.
 //
 // A traced run must stay bit-identical to an untraced one, so trace ids are
 // never drawn from the simulation's RNG streams — they are pure SplitMix64
 // mixes of (seed, client, job). Server and client derive the same ids from
-// the same inputs, which is what lets tools/merge_traces.py stitch their
-// separately recorded spans into one causal timeline without any runtime
-// coordination beyond the ids already on the wire.
+// the same inputs, so their separately recorded spans join into one causal
+// timeline without any id crossing the wire.
 #pragma once
 
 #include <cstdint>

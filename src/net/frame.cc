@@ -28,123 +28,24 @@ T ReadRaw(std::span<const std::uint8_t> bytes, std::size_t* offset) {
   return value;
 }
 
+// u64 round, u64 job_index, i32 client_id.
+inline constexpr std::size_t kBroadcastHeaderBytes =
+    2 * sizeof(std::uint64_t) + sizeof(std::int32_t);
+
 bool KnownType(std::uint16_t type) {
   switch (static_cast<MessageType>(type)) {
     case MessageType::kModelBroadcast:
     case MessageType::kClientUpdate:
     case MessageType::kAck:
     case MessageType::kShutdown:
-    case MessageType::kCodecOffer:
-    case MessageType::kCodecSelect:
-    case MessageType::kTraceOffer:
-    case MessageType::kTraceSelect:
     case MessageType::kHello:
       return true;
   }
   return false;
 }
 
-// Trailing trace-context block: u32 "AFTC" magic, u64 trace_id,
-// u64 parent_span_id. Appended only for traced messages; sniffed (never
-// required) on decode, so untraced wire bytes are unchanged.
-inline constexpr std::uint32_t kTraceBlockMagic = 0x43544641u;  // "AFTC" (LE)
-inline constexpr std::size_t kTraceBlockBytes =
-    sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
-
-void AppendTraceBlock(std::vector<std::uint8_t>& out, std::uint64_t trace_id,
-                      std::uint64_t parent_span_id) {
-  if (trace_id == 0) {
-    return;
-  }
-  AppendRaw(out, kTraceBlockMagic);
-  AppendRaw(out, trace_id);
-  AppendRaw(out, parent_span_id);
-}
-
-// Consumes a trailing AFTC block iff exactly one sits at `*offset` at the
-// very end of the payload. Anything else (no block, short tail, other
-// trailing bytes) is left for CheckFullyConsumed to reject as before.
-void MaybeReadTraceBlock(const FrameView& frame, std::size_t* offset,
-                         std::uint64_t* trace_id,
-                         std::uint64_t* parent_span_id) {
-  if (frame.payload.size() - *offset != kTraceBlockBytes) {
-    return;
-  }
-  std::size_t probe = *offset;
-  const auto magic = ReadRaw<std::uint32_t>(frame.payload, &probe);
-  if (magic != kTraceBlockMagic) {
-    return;
-  }
-  *trace_id = ReadRaw<std::uint64_t>(frame.payload, &probe);
-  *parent_span_id = ReadRaw<std::uint64_t>(frame.payload, &probe);
-  *offset = probe;
-}
-
-// Trailing client-id block for multiplexed broadcasts: u32 "AFVC" magic,
-// i32 client_id. Always the very last bytes of the payload when present.
-inline constexpr std::uint32_t kClientBlockMagic = 0x43564641u;  // "AFVC"
-inline constexpr std::size_t kClientBlockBytes =
-    sizeof(std::uint32_t) + sizeof(std::int32_t);
-
-void AppendClientBlock(std::vector<std::uint8_t>& out,
-                       std::int32_t client_id) {
-  if (client_id < 0) {
-    return;
-  }
-  AppendRaw(out, kClientBlockMagic);
-  AppendRaw(out, client_id);
-}
-
-// Sniffs the trailing AFVC (last) and AFTC (second-to-last) blocks. The
-// AFVC interpretation commits only when the full tail parses — the last 8
-// bytes carry the magic and a non-negative id, and the bytes between
-// `*offset` and the block are empty or exactly one AFTC block. Otherwise
-// everything rolls back to the legacy lone-AFTC sniff, so a pre-mux
-// payload whose final params bytes happen to spell "AFVC" still decodes
-// exactly as before.
-void MaybeReadTrailingBlocks(const FrameView& frame, std::size_t* offset,
-                             std::uint64_t* trace_id,
-                             std::uint64_t* parent_span_id,
-                             std::int32_t* client_id) {
-  const std::size_t remaining = frame.payload.size() - *offset;
-  if (client_id != nullptr && remaining >= kClientBlockBytes) {
-    const std::size_t tail = frame.payload.size() - kClientBlockBytes;
-    std::size_t probe = tail;
-    const auto magic = ReadRaw<std::uint32_t>(frame.payload, &probe);
-    if (magic == kClientBlockMagic) {
-      const auto cid = ReadRaw<std::int32_t>(frame.payload, &probe);
-      const std::size_t middle = tail - *offset;
-      if (cid >= 0 && (middle == 0 || middle == kTraceBlockBytes)) {
-        bool consistent = true;
-        std::uint64_t tid = 0;
-        std::uint64_t psid = 0;
-        if (middle == kTraceBlockBytes) {
-          std::size_t trace_probe = *offset;
-          if (ReadRaw<std::uint32_t>(frame.payload, &trace_probe) ==
-              kTraceBlockMagic) {
-            tid = ReadRaw<std::uint64_t>(frame.payload, &trace_probe);
-            psid = ReadRaw<std::uint64_t>(frame.payload, &trace_probe);
-          } else {
-            consistent = false;
-          }
-        }
-        if (consistent) {
-          if (middle == kTraceBlockBytes) {
-            *trace_id = tid;
-            *parent_span_id = psid;
-          }
-          *client_id = cid;
-          *offset = frame.payload.size();
-          return;
-        }
-      }
-    }
-  }
-  MaybeReadTraceBlock(frame, offset, trace_id, parent_span_id);
-}
-
-// Either a legacy raw AFPM block (codec null or identity) or an AFCZ
-// container; peers sniff the magic on decode.
+// Either a raw AFPM block (codec null or identity) or an AFCZ container;
+// peers sniff the magic on decode.
 void AppendParams(std::vector<std::uint8_t>& out,
                   std::span<const float> values, const compress::Codec* codec,
                   compress::FeedbackState* feedback = nullptr) {
@@ -167,21 +68,6 @@ UpdateView ReadParamsView(std::span<const std::uint8_t> payload,
     copied.Increment(parsed.copied_bytes);
   }
   return UpdateView(parsed.values, std::move(parsed.keepalive));
-}
-
-void AppendName(std::vector<std::uint8_t>& out, const std::string& name) {
-  AF_CHECK_LE(name.size(), 255u) << "codec name too long: " << name;
-  out.push_back(static_cast<std::uint8_t>(name.size()));
-  out.insert(out.end(), name.begin(), name.end());
-}
-
-std::string ReadName(std::span<const std::uint8_t> bytes,
-                     std::size_t* offset) {
-  const auto len = ReadRaw<std::uint8_t>(bytes, offset);
-  AF_CHECK_LE(*offset + len, bytes.size()) << "truncated codec name";
-  std::string name(reinterpret_cast<const char*>(bytes.data() + *offset), len);
-  *offset += len;
-  return name;
 }
 
 void CheckType(const FrameView& frame, MessageType expected) {
@@ -218,11 +104,11 @@ void EndFrame(std::vector<std::uint8_t>& out, std::size_t length_pos) {
 void AppendModelBroadcastPayload(std::vector<std::uint8_t>& out,
                                  const ModelBroadcastMsg& msg,
                                  const compress::Codec* codec) {
+  AF_CHECK_GE(msg.client_id, 0) << "negative broadcast client id";
   AppendRaw(out, msg.round);
   AppendRaw(out, msg.job_index);
+  AppendRaw(out, msg.client_id);
   AppendParams(out, msg.params, codec);
-  AppendTraceBlock(out, msg.trace_id, msg.parent_span_id);
-  AppendClientBlock(out, msg.client_id);
 }
 
 void AppendClientUpdatePayload(std::vector<std::uint8_t>& out,
@@ -234,7 +120,6 @@ void AppendClientUpdatePayload(std::vector<std::uint8_t>& out,
   AppendRaw(out, msg.base_round);
   AppendRaw(out, msg.num_samples);
   AppendParams(out, msg.delta, codec, feedback);
-  AppendTraceBlock(out, msg.trace_id, msg.parent_span_id);
 }
 
 }  // namespace
@@ -249,14 +134,6 @@ const char* MessageTypeName(MessageType type) {
       return "Ack";
     case MessageType::kShutdown:
       return "Shutdown";
-    case MessageType::kCodecOffer:
-      return "CodecOffer";
-    case MessageType::kCodecSelect:
-      return "CodecSelect";
-    case MessageType::kTraceOffer:
-      return "TraceOffer";
-    case MessageType::kTraceSelect:
-      return "TraceSelect";
     case MessageType::kHello:
       return "Hello";
   }
@@ -320,7 +197,7 @@ Frame EncodeModelBroadcast(const ModelBroadcastMsg& msg,
                            const compress::Codec* codec) {
   Frame frame;
   frame.type = MessageType::kModelBroadcast;
-  frame.payload.reserve(2 * sizeof(std::uint64_t) +
+  frame.payload.reserve(kBroadcastHeaderBytes +
                         nn::FlatParamsWireSize(msg.params.size()));
   AppendModelBroadcastPayload(frame.payload, msg, codec);
   return frame;
@@ -329,7 +206,7 @@ Frame EncodeModelBroadcast(const ModelBroadcastMsg& msg,
 void AppendModelBroadcastFrame(std::vector<std::uint8_t>& out,
                                const ModelBroadcastMsg& msg,
                                const compress::Codec* codec) {
-  out.reserve(out.size() + kFrameHeaderBytes + 2 * sizeof(std::uint64_t) +
+  out.reserve(out.size() + kFrameHeaderBytes + kBroadcastHeaderBytes +
               nn::FlatParamsWireSize(msg.params.size()));
   const std::size_t length_pos =
       BeginFrame(out, MessageType::kModelBroadcast);
@@ -343,9 +220,9 @@ ModelBroadcastMsg DecodeModelBroadcast(const FrameView& frame) {
   std::size_t offset = 0;
   msg.round = ReadRaw<std::uint64_t>(frame.payload, &offset);
   msg.job_index = ReadRaw<std::uint64_t>(frame.payload, &offset);
+  msg.client_id = ReadRaw<std::int32_t>(frame.payload, &offset);
+  AF_CHECK_GE(msg.client_id, 0) << "negative broadcast client id";
   msg.params = ReadParamsView(frame.payload, &offset);
-  MaybeReadTrailingBlocks(frame, &offset, &msg.trace_id, &msg.parent_span_id,
-                          &msg.client_id);
   CheckFullyConsumed(frame, offset);
   return msg;
 }
@@ -382,7 +259,6 @@ ClientUpdateMsg DecodeClientUpdate(const FrameView& frame) {
   msg.base_round = ReadRaw<std::uint64_t>(frame.payload, &offset);
   msg.num_samples = ReadRaw<std::uint64_t>(frame.payload, &offset);
   msg.delta = ReadParamsView(frame.payload, &offset);
-  MaybeReadTraceBlock(frame, &offset, &msg.trace_id, &msg.parent_span_id);
   CheckFullyConsumed(frame, offset);
   msg.wire_bytes = frame.payload.size();
   return msg;
@@ -402,74 +278,6 @@ AckMsg DecodeAck(const FrameView& frame) {
   std::size_t offset = 0;
   msg.client_id = ReadRaw<std::int32_t>(frame.payload, &offset);
   msg.job_index = ReadRaw<std::uint64_t>(frame.payload, &offset);
-  CheckFullyConsumed(frame, offset);
-  return msg;
-}
-
-Frame EncodeCodecOffer(const CodecOfferMsg& msg) {
-  Frame frame;
-  frame.type = MessageType::kCodecOffer;
-  AF_CHECK_LE(msg.codecs.size(), 0xFFFFu) << "too many offered codecs";
-  AppendRaw(frame.payload, static_cast<std::uint16_t>(msg.codecs.size()));
-  for (const std::string& name : msg.codecs) {
-    AppendName(frame.payload, name);
-  }
-  return frame;
-}
-
-CodecOfferMsg DecodeCodecOffer(const FrameView& frame) {
-  CheckType(frame, MessageType::kCodecOffer);
-  CodecOfferMsg msg;
-  std::size_t offset = 0;
-  const auto count = ReadRaw<std::uint16_t>(frame.payload, &offset);
-  msg.codecs.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    msg.codecs.push_back(ReadName(frame.payload, &offset));
-  }
-  CheckFullyConsumed(frame, offset);
-  return msg;
-}
-
-Frame EncodeCodecSelect(const CodecSelectMsg& msg) {
-  Frame frame;
-  frame.type = MessageType::kCodecSelect;
-  AppendName(frame.payload, msg.codec);
-  return frame;
-}
-
-CodecSelectMsg DecodeCodecSelect(const FrameView& frame) {
-  CheckType(frame, MessageType::kCodecSelect);
-  CodecSelectMsg msg;
-  std::size_t offset = 0;
-  msg.codec = ReadName(frame.payload, &offset);
-  CheckFullyConsumed(frame, offset);
-  return msg;
-}
-
-Frame EncodeTraceOffer(const TraceOfferMsg&) {
-  Frame frame;
-  frame.type = MessageType::kTraceOffer;
-  return frame;
-}
-
-TraceOfferMsg DecodeTraceOffer(const FrameView& frame) {
-  CheckType(frame, MessageType::kTraceOffer);
-  CheckFullyConsumed(frame, 0);
-  return TraceOfferMsg{};
-}
-
-Frame EncodeTraceSelect(const TraceSelectMsg& msg) {
-  Frame frame;
-  frame.type = MessageType::kTraceSelect;
-  frame.payload.push_back(msg.enabled ? 1 : 0);
-  return frame;
-}
-
-TraceSelectMsg DecodeTraceSelect(const FrameView& frame) {
-  CheckType(frame, MessageType::kTraceSelect);
-  TraceSelectMsg msg;
-  std::size_t offset = 0;
-  msg.enabled = ReadRaw<std::uint8_t>(frame.payload, &offset) != 0;
   CheckFullyConsumed(frame, offset);
   return msg;
 }

@@ -8,14 +8,13 @@
 //   u64 length  payload bytes that follow
 //
 // followed by `length` payload bytes. Parameter payloads reuse the AFPM
-// block from nn/serialize — or, when a compression codec was negotiated, an
+// block from nn/serialize — or, when the run uses a compression codec, an
 // AFCZ container from compress/ — so model bytes are identical on disk and
 // on the wire. Decoders sniff the leading magic, so either form is always
-// accepted regardless of what was negotiated. Decoding is incremental
-// (stream-friendly): DecodeFrameView reports how many bytes it consumed, or
-// 0 when the buffer does not yet hold a whole frame. Malformed input — bad
-// magic, unknown version, absurd length — throws util::CheckError; it never
-// reads past the buffer.
+// accepted. Decoding is incremental (stream-friendly): DecodeFrameView
+// reports how many bytes it consumed, or 0 when the buffer does not yet
+// hold a whole frame. Malformed input — bad magic, unknown version, absurd
+// length — throws util::CheckError; it never reads past the buffer.
 //
 // Zero-copy decode path: DecodeFrameView yields a FrameView whose payload
 // aliases the caller's buffer, and the typed decoders return messages whose
@@ -26,27 +25,16 @@
 // materialize it once into an arena. The owning Frame/DecodeFrame pair
 // serves the blocking helpers in net/socket.h and tests.
 //
-// Codec negotiation (see docs/NETWORK.md): after the client's Hello, a
-// server configured with advertised codecs replies with a CodecOffer naming
-// them; the client answers with a CodecSelect naming its pick (identity when
-// nothing offered suits it). A server with no advertised codecs sends no
-// offer — the first post-hello frame is a ModelBroadcast, which a new client
-// reads as "old server: identity". Both fallbacks keep the wire bytes
-// exactly what they were before codecs existed.
-//
-// Trace-context negotiation follows the same pattern with TraceOffer /
-// TraceSelect frames. When both sides opt in, ModelBroadcast and
-// ClientUpdate payloads may carry a 20-byte trailing AFTC block
-// (u32 "AFTC" magic, u64 trace_id, u64 parent_span_id) after the parameter
-// block. The block is emitted only when trace_id is non-zero and decoders
-// sniff for it, so an untraced run — or a legacy peer — sees wire bytes
-// identical to before trace propagation existed.
+// Both data messages have a fixed layout: a fixed header naming the client
+// and job, then exactly one parameter block, then nothing. There is no
+// negotiation — both ends of a connection are built from the same spec, so
+// each already knows the codec, and trace ids are derived on both sides
+// from (seed, client, job) (fl/trace_context.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "net/update_view.h"
@@ -63,11 +51,8 @@ enum class MessageType : std::uint16_t {
   kClientUpdate = 2,    // client → server: the resulting delta
   kAck = 3,             // server → client: update receipt
   kShutdown = 4,        // server → client: run over, close cleanly
-  kCodecOffer = 5,      // server → client: codec names the server accepts
-  kCodecSelect = 6,     // client → server: the codec the client will use
-  kTraceOffer = 7,      // server → client: server understands trace context
-  kTraceSelect = 8,     // client → server: client will attach trace context
-  // 9 and 10 are retired and must not be reused: a stale peer may still
+  // 5–8 (the CodecOffer/CodecSelect/TraceOffer/TraceSelect negotiation)
+  // and 9–10 are retired and must not be reused: a stale peer may still
   // send them, and decode rejects them as unknown types.
   kHello = 11,          // client → server: connection hello (its client ids)
 };
@@ -125,33 +110,27 @@ std::size_t DecodeFrame(std::span<const std::uint8_t> buffer, Frame* out);
 // buffer on the zero-copy path — see the header comment for the lifetime
 // rule.
 
-// One training job: "train from these base params". `round` is the server
-// round the job was dispatched in, `job_index` the per-client job counter
-// that keys the client's deterministic RNG stream.
+// One training job: "train from these base params". Payload: u64 round,
+// u64 job_index, i32 client_id, then the parameter block. `round` is the
+// server round the job was dispatched in, `job_index` the per-client job
+// counter that keys the client's deterministic RNG stream, and `client_id`
+// the target client, so a connection carrying many clients can demux its
+// jobs. Encode and decode both reject a negative client_id.
 struct ModelBroadcastMsg {
   std::uint64_t round = 0;
   std::uint64_t job_index = 0;
+  std::int32_t client_id = 0;
   UpdateView params;
-  // Cross-process trace context (0 = untraced → no AFTC block on the wire).
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span_id = 0;
-  // Which client the job targets. >= 0 appends a trailing 8-byte AFVC block
-  // (u32 "AFVC" magic, i32 client_id) after any AFTC block, so a connection
-  // carrying many clients can demux its jobs; the driver always sets it.
-  // -1 emits no block.
-  std::int32_t client_id = -1;
 };
 
-// The client's report for one job.
+// The client's report for one job. Payload: i32 client_id, u64 job_index,
+// u64 base_round, u64 num_samples, then the parameter block.
 struct ClientUpdateMsg {
   std::int32_t client_id = -1;
   std::uint64_t job_index = 0;
   std::uint64_t base_round = 0;
   std::uint64_t num_samples = 0;
   UpdateView delta;
-  // Cross-process trace context (0 = untraced → no AFTC block on the wire).
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span_id = 0;
   // Decode-side only: frame payload size in bytes, filled by
   // DecodeClientUpdate so the server can audit per-update wire cost.
   // Ignored by the encoder.
@@ -165,26 +144,6 @@ struct AckMsg {
   std::uint64_t job_index = 0;
 };
 
-// Codec names the server is willing to decode, preference-ordered.
-struct CodecOfferMsg {
-  std::vector<std::string> codecs;
-};
-
-// The codec the client will encode its updates with (and accepts on the
-// downlink, subject to broadcast-safety).
-struct CodecSelectMsg {
-  std::string codec;
-};
-
-// Server → client: "I understand AFTC trace-context blocks." Empty payload.
-struct TraceOfferMsg {};
-
-// Client → server: whether the client will attach trace context to its
-// updates (and accepts it on broadcasts).
-struct TraceSelectMsg {
-  bool enabled = false;
-};
-
 // Client → server: the first frame on every connection. It announces every
 // client id the connection will carry; the server binds them all to this
 // session.
@@ -192,9 +151,8 @@ struct HelloMsg {
   std::vector<std::int32_t> client_ids;
 };
 
-// Parameter-bearing encoders take an optional negotiated codec: nullptr (or
-// the identity codec) emits the legacy raw AFPM block — byte-identical to
-// the pre-codec wire — anything else emits an AFCZ container. The update
+// Parameter-bearing encoders take an optional codec: nullptr (or the
+// identity codec) emits a raw AFPM block, anything else an AFCZ container. The update
 // encoder additionally threads the client's error-feedback state for codecs
 // that use it. Decoders sniff the magic, so they need no codec argument.
 //
@@ -225,18 +183,6 @@ ClientUpdateMsg DecodeClientUpdate(Frame&&) = delete;  // see above
 
 Frame EncodeAck(const AckMsg& msg);
 AckMsg DecodeAck(const FrameView& frame);
-
-Frame EncodeCodecOffer(const CodecOfferMsg& msg);
-CodecOfferMsg DecodeCodecOffer(const FrameView& frame);
-
-Frame EncodeCodecSelect(const CodecSelectMsg& msg);
-CodecSelectMsg DecodeCodecSelect(const FrameView& frame);
-
-Frame EncodeTraceOffer(const TraceOfferMsg& msg);
-TraceOfferMsg DecodeTraceOffer(const FrameView& frame);
-
-Frame EncodeTraceSelect(const TraceSelectMsg& msg);
-TraceSelectMsg DecodeTraceSelect(const FrameView& frame);
 
 Frame EncodeHello(const HelloMsg& msg);
 HelloMsg DecodeHello(const FrameView& frame);

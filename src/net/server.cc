@@ -132,10 +132,7 @@ void Server::AcceptPending() {
     conn->server = this;
     conn->fd.reset(fd);
     conn->last_progress_ns = NowNs();
-    conn->session = std::make_unique<Session>(
-        conn.get(),
-        Session::Options{options_.advertised_codecs,
-                         options_.offer_trace_context});
+    conn->session = std::make_unique<Session>(conn.get());
     reactor_.Add(fd);
     conns_.emplace(fd, std::move(conn));
   }
@@ -190,7 +187,7 @@ bool Server::ProcessInbuf(Conn& conn) {
     conn.in_offset += consumed;
     frames_received_.Increment();
     // A structurally valid frame can still carry a malformed typed payload
-    // (truncated AFPM/AFCZ block, checksum mismatch, bad codec name). That
+    // (truncated AFPM/AFCZ block, checksum mismatch, unknown codec name). That
     // must evict this connection, never unwind through the reactor.
     try {
       keep = conn.session->HandleFrame(frame);
@@ -425,16 +422,6 @@ void Server::Evict(int client_id, const char* reason) {
 
 bool Server::IsConnected(int client_id) const {
   return by_client_.count(client_id) > 0;
-}
-
-const compress::Codec* Server::ClientCodec(int client_id) const {
-  auto it = by_client_.find(client_id);
-  return it == by_client_.end() ? nullptr : it->second->session->codec();
-}
-
-bool Server::ClientTraceContext(int client_id) const {
-  auto it = by_client_.find(client_id);
-  return it != by_client_.end() && it->second->session->trace_context();
 }
 
 }  // namespace net

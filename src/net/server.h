@@ -14,27 +14,22 @@
 // a tick is O(connections).
 //
 // Every connection opens with a kHello frame that binds one or more client
-// ids to its socket; broadcasts to those ids carry a trailing AFVC
-// client-id block so the peer can demux. Protocol behavior — handshake
-// ordering, codec/trace negotiation, (client_id, job_index)-keyed update
-// dedup with re-acks, eviction policy — lives in net/session.h.
+// ids to its socket, which establishes it; broadcasts to those ids name
+// their client in the fixed header so the peer can demux. Protocol
+// behavior — the handshake, (client_id, job_index)-keyed update dedup with
+// re-acks, eviction policy — lives in net/session.h.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/frame.h"
 #include "net/reactor.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
-
-namespace compress {
-class Codec;
-}  // namespace compress
 
 namespace net {
 
@@ -43,14 +38,6 @@ struct ServerOptions {
   // A connection with a partially received frame or unflushed writes older
   // than this is considered dead.
   int io_timeout_ms = 10000;
-  // Codec names offered to each client after its hello (preference order).
-  // Empty → no CodecOffer is sent and the handshake is the legacy two-step.
-  // "identity" is always acceptable in a CodecSelect even when not listed.
-  std::vector<std::string> advertised_codecs;
-  // Offer trace-context propagation (a TraceOffer after the hello); clients
-  // answer with a TraceSelect saying whether they will attach AFTC blocks.
-  // Off → no offer, wire identical to before trace propagation existed.
-  bool offer_trace_context = false;
 };
 
 class Server {
@@ -100,16 +87,6 @@ class Server {
 
   bool IsConnected(int client_id) const;
   std::size_t ConnectedCount() const { return by_client_.size(); }
-
-  // The codec the client picked during negotiation; nullptr when the
-  // handshake was legacy (no offer) or the client chose identity. The
-  // driver uses this to encode downlink broadcasts the client can decode.
-  const compress::Codec* ClientCodec(int client_id) const;
-
-  // Whether the client accepted trace-context propagation during its
-  // handshake. The driver only attaches AFTC blocks to broadcasts for
-  // clients that did.
-  bool ClientTraceContext(int client_id) const;
 
  private:
   struct Conn;

@@ -1,28 +1,20 @@
 #include "net/session.h"
 
-#include "compress/codec.h"
 #include "util/check.h"
 #include "util/logging.h"
-#include "util/registry.h"
 
 namespace net {
 
-Session::Session(Host* host, Options options)
-    : host_(host), options_(std::move(options)) {
-  AF_CHECK(host_ != nullptr);
-}
+Session::Session(Host* host) : host_(host) { AF_CHECK(host_ != nullptr); }
 
 bool Session::HandleFrame(const FrameView& frame) {
-  if (!identified()) {
+  if (!handshake_complete_) {
     if (frame.type == MessageType::kHello) {
       return HandleHello(frame);
     }
     AF_LOG(kWarn) << "net: connection sent " << MessageTypeName(frame.type)
                   << " before handshake; closing";
     return false;
-  }
-  if (!handshake_complete_) {
-    return HandleNegotiation(frame);
   }
   switch (frame.type) {
     case MessageType::kClientUpdate:
@@ -31,16 +23,11 @@ bool Session::HandleFrame(const FrameView& frame) {
       return true;  // stray receipt; harmless
     case MessageType::kShutdown:
       return false;  // client says goodbye
-    case MessageType::kCodecSelect:
-    case MessageType::kTraceSelect:
-      return true;  // repeated select after negotiation; harmless
     case MessageType::kHello:
       AF_LOG(kWarn) << "net: client " << primary_id()
                     << " sent a second hello; closing";
       return false;
     case MessageType::kModelBroadcast:
-    case MessageType::kCodecOffer:
-    case MessageType::kTraceOffer:
       AF_LOG(kWarn) << "net: client " << primary_id()
                     << " sent a server-only frame; closing";
       return false;
@@ -68,58 +55,9 @@ bool Session::HandleHello(const FrameView& frame) {
     client_ids_.push_back(static_cast<int>(id));
     owned_ids_.insert(static_cast<int>(id));
   }
-  BeginNegotiation();
+  handshake_complete_ = true;
+  host_->OnHandshakeComplete();
   return true;
-}
-
-void Session::BeginNegotiation() {
-  // Negotiation rounds: the handshake completes (and the host's connect
-  // notification fires) only once every offered extension's select arrives,
-  // so the driver never broadcasts before it knows the downlink codec or
-  // whether the peer understands trace context.
-  if (!options_.advertised_codecs.empty()) {
-    host_->SendFrame(EncodeCodecOffer({options_.advertised_codecs}));
-    awaiting_codec_select_ = true;
-  }
-  if (options_.offer_trace_context) {
-    host_->SendFrame(EncodeTraceOffer({}));
-    awaiting_trace_select_ = true;
-  }
-  MaybeCompleteHandshake();
-}
-
-bool Session::HandleNegotiation(const FrameView& frame) {
-  // Negotiation in flight: only the selects we are waiting on are
-  // acceptable (in any order).
-  if (frame.type == MessageType::kCodecSelect && awaiting_codec_select_) {
-    const CodecSelectMsg select = DecodeCodecSelect(frame);
-    const std::string key = util::CanonicalName(select.codec);
-    bool offered = key == "identity";
-    for (const std::string& name : options_.advertised_codecs) {
-      offered = offered || util::CanonicalName(name) == key;
-    }
-    if (!offered || !compress::Has(select.codec)) {
-      AF_LOG(kWarn) << "net: client " << primary_id()
-                    << " selected unavailable codec '" << select.codec
-                    << "'; closing";
-      return false;
-    }
-    const compress::Codec& codec = compress::Get(select.codec);
-    codec_ = compress::IsIdentity(codec) ? nullptr : &codec;
-    awaiting_codec_select_ = false;
-    MaybeCompleteHandshake();
-    return true;
-  }
-  if (frame.type == MessageType::kTraceSelect && awaiting_trace_select_) {
-    trace_context_ = DecodeTraceSelect(frame).enabled;
-    awaiting_trace_select_ = false;
-    MaybeCompleteHandshake();
-    return true;
-  }
-  AF_LOG(kWarn) << "net: client " << primary_id() << " sent "
-                << MessageTypeName(frame.type)
-                << " before negotiation finished; closing";
-  return false;
 }
 
 bool Session::HandleClientUpdate(const FrameView& frame) {
@@ -140,14 +78,6 @@ bool Session::HandleClientUpdate(const FrameView& frame) {
   }
   host_->OnUpdate(msg.client_id, std::move(msg));
   return true;
-}
-
-void Session::MaybeCompleteHandshake() {
-  if (awaiting_codec_select_ || awaiting_trace_select_) {
-    return;
-  }
-  handshake_complete_ = true;
-  host_->OnHandshakeComplete();
 }
 
 }  // namespace net

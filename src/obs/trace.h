@@ -23,11 +23,10 @@
 
 namespace obs {
 
-// Cross-process span identity. All-zero (the default) means "no context":
-// the span is purely local, exactly what every span was before trace
-// propagation existed. Non-zero ids let spans recorded in different
-// processes (or different recorders) be stitched into one causal timeline —
-// tools/merge_traces.py joins on trace_id.
+// Span identity across the client/server boundary. All-zero (the default)
+// means "no context": the span is purely local. Non-zero ids let spans
+// recorded on different sides of a connection be stitched into one causal
+// timeline by joining on trace_id.
 struct TraceContext {
   std::uint64_t trace_id = 0;   // one logical operation end to end
   std::uint64_t span_id = 0;    // this span

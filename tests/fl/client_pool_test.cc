@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <random>
 #include <thread>
@@ -156,7 +157,7 @@ std::vector<std::vector<float>> RunVirtualFleet(
           static_cast<std::uint64_t>(wave) * static_cast<std::uint64_t>(kClients) +
           static_cast<std::uint64_t>(c);
       msg.params = base;
-      msg.client_id = c;  // mux sessions demux broadcasts by AFVC block
+      msg.client_id = c;  // mux sessions demux broadcasts by this id
       EXPECT_TRUE(server.SendTo(c, net::EncodeModelBroadcast(msg)));
     }
     const auto deadline =
@@ -269,7 +270,13 @@ TEST(VirtualClientPoolTest, BadServerInputClosesOnlyItsConnection) {
     msg.client_id = client_id;
     return net::EncodeModelBroadcast(msg);
   };
-  by_client.at(0).SendFrame(broadcast(-1, params), 2000);  // no AFVC block
+  // The encoder refuses a negative id, so that broadcast is patched by
+  // hand: the client id follows u64 round and u64 job_index.
+  net::Frame negative = broadcast(0, params);
+  const std::int32_t minus_one = -1;
+  std::memcpy(negative.payload.data() + 2 * sizeof(std::uint64_t),
+              &minus_one, sizeof(minus_one));
+  by_client.at(0).SendFrame(negative, 2000);               // negative id
   by_client.at(1).SendFrame(broadcast(99, params), 2000);  // unknown client
   by_client.at(2).SendFrame(broadcast(2, {1.0f}), 2000);   // wrong length
   for (int c = 0; c < 3; ++c) {

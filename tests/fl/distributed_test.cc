@@ -119,7 +119,7 @@ TEST(DistributedTest, IdentityCompressionLeavesResultUnchanged) {
 
 TEST(DistributedTest, SurvivesTruncatedCompressedFrames) {
   // Truncated frames hard-close the sender's connection mid-frame; with a
-  // codec negotiated, the server must still reject the partial stream
+  // codec on the wire, the server must still reject the partial stream
   // cleanly, evict, and finish every round from the survivors.
   ExperimentConfig config = SmallConfig(66);
   config.sim.rounds = 5;
@@ -139,10 +139,11 @@ TEST(DistributedTest, SurvivesTruncatedCompressedFrames) {
 }
 
 TEST(DistributedTest, TraceContextLinksClientTrainToServerDefenseSpans) {
-  // Cross-process trace propagation, end to end over real TCP: a client's
+  // Trace ids across the wire, end to end over real TCP: a client's
   // net.worker.train span and the server's defense.process.update span for
-  // the same training job must share a trace id — and negotiating the
-  // extension must not perturb the simulation (bit-identical to inproc).
+  // the same training job must share a trace id, with no flag set — both
+  // sides derive it — and recording spans must not perturb the simulation
+  // (bit-identical to inproc).
   ExperimentConfig config = SmallConfig(67);
   config.sim.rounds = 5;
   config.attack = attacks::AttackKind::kLie;
@@ -155,7 +156,6 @@ TEST(DistributedTest, TraceContextLinksClientTrainToServerDefenseSpans) {
   recorder.Clear();
   recorder.SetEnabled(true);
   config.transport = TransportKind::kTcp;
-  config.net.trace_context = true;
   const SimulationResult tcp = RunExperiment(config);
   recorder.SetEnabled(false);
 

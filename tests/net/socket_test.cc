@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -213,58 +212,6 @@ TEST(ServerTest, EvictFiresDisconnectHandler) {
   EXPECT_FALSE(server.IsConnected(3));
   ASSERT_EQ(gone.size(), 1u);
   EXPECT_EQ(gone[0], 3);
-  client_thread.join();
-}
-
-TEST(ServerTest, CodecNegotiationCompletesHandshake) {
-  ServerOptions options;
-  options.advertised_codecs = {"fp16"};
-  Server server(options);
-
-  std::atomic<bool> got_offer{false};
-  std::thread client_thread([&got_offer, port = server.port()] {
-    Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    conn.SendFrame(EncodeHello({{9}}), 2000);
-    Frame frame;
-    EXPECT_TRUE(conn.RecvFrame(&frame, 5000));
-    const CodecOfferMsg offer = DecodeCodecOffer(frame);
-    EXPECT_EQ(offer.codecs, std::vector<std::string>{"fp16"});
-    got_offer = true;
-    conn.SendFrame(EncodeCodecSelect({"fp16"}), 2000);
-    // Stay connected until the server has seen the select and the test has
-    // asserted; the eviction below is our cue to leave.
-    while (conn.TryRecvFrame(&frame, 100) != Connection::RecvStatus::kEof) {
-    }
-  });
-
-  // WaitForClients counts completed handshakes, which here means the offer
-  // went out AND the select came back.
-  ASSERT_TRUE(server.WaitForClients(1, 5000));
-  EXPECT_TRUE(got_offer);
-  ASSERT_NE(server.ClientCodec(9), nullptr);
-  EXPECT_EQ(std::string(server.ClientCodec(9)->name()), "fp16");
-  server.Evict(9, "test done");
-  client_thread.join();
-}
-
-TEST(ServerTest, IdentitySelectionIsAlwaysAcceptedAndMapsToNull) {
-  ServerOptions options;
-  options.advertised_codecs = {"int8"};  // identity deliberately not listed
-  Server server(options);
-
-  std::thread client_thread([port = server.port()] {
-    Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    conn.SendFrame(EncodeHello({{2}}), 2000);
-    Frame frame;
-    EXPECT_TRUE(conn.RecvFrame(&frame, 5000));  // the offer
-    conn.SendFrame(EncodeCodecSelect({"identity"}), 2000);
-    while (conn.TryRecvFrame(&frame, 100) != Connection::RecvStatus::kEof) {
-    }
-  });
-
-  ASSERT_TRUE(server.WaitForClients(1, 5000));
-  EXPECT_EQ(server.ClientCodec(2), nullptr);  // null = legacy AFPM payloads
-  server.Evict(2, "test done");
   client_thread.join();
 }
 
