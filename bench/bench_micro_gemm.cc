@@ -242,10 +242,9 @@ TrainResult BenchTrainingStep(bool smoke, std::mt19937_64& rng) {
   const nn::ModelSpec spec = nn::MakeLeNet5Surrogate();
   auto model = spec.factory(/*seed=*/17);
   const std::size_t batch = 32;
-  tensor::Shape shape{batch};
-  shape.insert(shape.end(), spec.sample_shape.begin(),
-               spec.sample_shape.end());
-  tensor::Tensor input(shape);
+  // Channel-major {C, N, H, W}, the layout data::MakeBatch produces.
+  const tensor::Shape& sample = spec.sample_shape;
+  tensor::Tensor input({sample[0], batch, sample[1], sample[2]});
   input.FillNormal(0.0f, 1.0f, rng);
   std::vector<std::int64_t> labels(batch);
   std::uniform_int_distribution<std::int64_t> label_dist(

@@ -15,18 +15,31 @@ std::span<const float> Dataset::Sample(std::size_t index) const {
 
 Batch MakeBatch(const Dataset& dataset, std::span<const std::size_t> indices) {
   AF_CHECK(!indices.empty());
+  const std::size_t count = indices.size();
   const std::size_t dim = dataset.sample_dim();
+  const tensor::Shape& sample_shape = dataset.sample_shape;
+  // Images {C, H, W} batch channel-major as {C, N, H, W}; any other sample
+  // rank batches as {N, sample...}, which is the same layout with C = 1.
+  const bool image = sample_shape.size() == 3;
+  const std::size_t channels = image ? sample_shape[0] : 1;
+  const std::size_t plane = image ? sample_shape[1] * sample_shape[2] : dim;
   tensor::Shape batch_shape;
-  batch_shape.push_back(indices.size());
-  for (std::size_t d : dataset.sample_shape) {
-    batch_shape.push_back(d);
+  if (image) {
+    batch_shape = {channels, count, sample_shape[1], sample_shape[2]};
+  } else {
+    batch_shape.push_back(count);
+    batch_shape.insert(batch_shape.end(), sample_shape.begin(),
+                       sample_shape.end());
   }
   Batch batch{tensor::Tensor(batch_shape), {}};
-  batch.labels.reserve(indices.size());
+  batch.labels.reserve(count);
   float* dst = batch.features.data().data();
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    std::span<const float> sample = dataset.Sample(indices[k]);
-    std::copy(sample.begin(), sample.end(), dst + k * dim);
+  for (std::size_t k = 0; k < count; ++k) {
+    const float* sample = dataset.Sample(indices[k]).data();
+    for (std::size_t c = 0; c < channels; ++c) {
+      std::copy(sample + c * plane, sample + (c + 1) * plane,
+                dst + (c * count + k) * plane);
+    }
     batch.labels.push_back(dataset.labels[indices[k]]);
   }
   return batch;

@@ -26,11 +26,14 @@ struct Dataset {
 };
 
 struct Batch {
-  tensor::Tensor features;            // shape = {B, sample_shape...}
+  tensor::Tensor features;            // see MakeBatch for the layout
   std::vector<std::int64_t> labels;   // size B
 };
 
-// Materialises the batch selected by `indices` (into `dataset`).
+// Materialises the batch selected by `indices` (into `dataset`). Image
+// samples ({C, H, W}) come out channel-major, {C, B, H, W}, the layout of
+// nn's 4-D activations: channel c of every sample is one contiguous block.
+// Samples of any other rank come out batch-first, {B, sample_shape...}.
 Batch MakeBatch(const Dataset& dataset, std::span<const std::size_t> indices);
 
 // Splits [0, n) into shuffled mini-batch index lists of size `batch_size`

@@ -56,13 +56,16 @@ void AppendParams(std::vector<std::uint8_t>& out,
   compress::AppendEncodedParams(out, *codec, values, feedback);
 }
 
-// Parses one parameter block as a view, charging any materialization to
-// transport.bytes_copied (the zero-copy path charges nothing).
+// Parses one parameter block as a view. transport.bytes_copied counts the
+// server's copies of received updates, so only an uplink decode (`uplink`)
+// charges a materialization to it; the zero-copy path charges nothing, and
+// a broadcast decode (the client side, which may share the server's
+// process) never does.
 UpdateView ReadParamsView(std::span<const std::uint8_t> payload,
-                          std::size_t* offset) {
+                          std::size_t* offset, bool uplink) {
   compress::ParsedParamsView parsed =
       compress::ParseAnyParamsView(payload, offset);
-  if (parsed.copied_bytes > 0) {
+  if (uplink && parsed.copied_bytes > 0) {
     static obs::Counter& copied =
         obs::DefaultRegistry().GetCounter("transport.bytes_copied");
     copied.Increment(parsed.copied_bytes);
@@ -222,7 +225,7 @@ ModelBroadcastMsg DecodeModelBroadcast(const FrameView& frame) {
   msg.job_index = ReadRaw<std::uint64_t>(frame.payload, &offset);
   msg.client_id = ReadRaw<std::int32_t>(frame.payload, &offset);
   AF_CHECK_GE(msg.client_id, 0) << "negative broadcast client id";
-  msg.params = ReadParamsView(frame.payload, &offset);
+  msg.params = ReadParamsView(frame.payload, &offset, /*uplink=*/false);
   CheckFullyConsumed(frame, offset);
   return msg;
 }
@@ -258,7 +261,7 @@ ClientUpdateMsg DecodeClientUpdate(const FrameView& frame) {
   msg.job_index = ReadRaw<std::uint64_t>(frame.payload, &offset);
   msg.base_round = ReadRaw<std::uint64_t>(frame.payload, &offset);
   msg.num_samples = ReadRaw<std::uint64_t>(frame.payload, &offset);
-  msg.delta = ReadParamsView(frame.payload, &offset);
+  msg.delta = ReadParamsView(frame.payload, &offset, /*uplink=*/true);
   CheckFullyConsumed(frame, offset);
   msg.wire_bytes = frame.payload.size();
   return msg;

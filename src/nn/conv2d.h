@@ -1,21 +1,25 @@
 // 2-D convolution (stride 1, symmetric zero padding) via whole-batch
 // im2col + one GEMM per pass.
 //
-// Activations are NCHW; the weight is (out_channels, in_channels, k, k).
+// Activations are channel-major, {C, N, H, W} (see nn/layer.h); the weight
+// is (out_channels, in_channels, k, k).
 //
 // Forward expands the entire batch into one (C·k·k) × (N·Ho·Wo) patch
-// matrix and runs a single blocked GEMM against the weight; backward runs
-// one GEMM for dW (accumulated in place) and one for the patch gradients,
-// which col2im scatters back per sample. The per-sample im2col/col2im and
-// NCHW scatter loops fan out over tensor::ComputePool() when one is set.
+// matrix and runs a single blocked GEMM against the weight, written
+// straight into the {out, N, Ho, Wo} output (which is that GEMM's
+// out × (N·Ho·Wo) result) before an in-place per-channel bias add.
+// Backward reads grad_output in place as the GEMM operand: one GEMM for dW
+// (accumulated in place) and one for the patch gradients, which col2im adds
+// back into the input gradient. For same padding (Ho·Wo == H·W, e.g. 3×3
+// pad 1) every patch row is one shifted span of its channel's N·H·W block:
+// im2col copies the span and then zeroes the padding taps, col2im zeroes
+// those taps in the patch gradients and then adds the whole span. Other
+// paddings go row by row.
 //
 // Scratch memory: the patch matrices live in per-layer arena buffers that
 // are reused across batches (grow-only, freed with the layer). Upper
-// bound: 2·patch·N·Ho·Wo floats for the im2col/col2im arenas plus
-// 2·out_channels·N·Ho·Wo floats for the flattened activations — batch-scaled
-// where the seed per-sample path kept only 2·patch·Ho·Wo, which is the
-// price of whole-batch GEMM operands (~a few MB at this repo's model and
-// batch sizes).
+// bound: 2·patch·N·Ho·Wo floats for the im2col/col2im arenas, and
+// BackwardParamsOnly never allocates the col2im one.
 #pragma once
 
 #include <random>
@@ -32,6 +36,9 @@ class Conv2d : public Layer {
 
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  // Accumulates dW and db only: no patch-gradient GEMM, no col2im, no
+  // input-gradient tensor.
+  void BackwardParamsOnly(const tensor::Tensor& grad_output) override;
 
   std::vector<tensor::Tensor*> Params() override { return {&weight_, &bias_}; }
   std::vector<tensor::Tensor*> Grads() override {
@@ -41,16 +48,21 @@ class Conv2d : public Layer {
   std::string Name() const override { return "Conv2d"; }
 
  private:
-  // Writes sample n's (C·k·k) × (Ho·Wo) patch block into the batch patch
-  // matrix at `dst` (row stride `ld`); every position is written, so the
-  // arena needs no pre-zeroing.
-  void Im2ColSample(const tensor::Tensor& input, std::size_t n, std::size_t h,
-                    std::size_t w, float* dst, std::size_t ld) const;
-  // Accumulates sample n's patch-gradient block (read from `src`, row
-  // stride `ld`) back into image gradients.
-  void Col2ImSample(const float* src, std::size_t ld, std::size_t n,
-                    std::size_t h, std::size_t w,
-                    tensor::Tensor& grad_input) const;
+  // Output height or width for an input extent (stride 1).
+  std::size_t OutExtent(std::size_t in) const {
+    return in + 2 * padding_ - kernel_ + 1;
+  }
+  // Writes the (C·k·k) × (N·Ho·Wo) patch matrix of `input` into cols_;
+  // every position is written, so the arena needs no pre-zeroing.
+  void Im2Col(const float* input, std::size_t batch, std::size_t h,
+              std::size_t w);
+  // Adds the patch gradients in dcols_ back into `grad_input` (zeroed,
+  // {C, N, H, W}). Clobbers the padding taps of dcols_.
+  void Col2Im(std::size_t batch, std::size_t h, std::size_t w,
+              float* grad_input);
+  // Checks grad_output against the last Forward and accumulates the
+  // bias and weight gradients.
+  void AccumulateParamGrads(const tensor::Tensor& grad_output);
 
   std::size_t in_channels_;
   std::size_t out_channels_;
@@ -60,15 +72,13 @@ class Conv2d : public Layer {
   tensor::Tensor bias_;         // (out)
   tensor::Tensor grad_weight_;
   tensor::Tensor grad_bias_;
-  tensor::Shape input_shape_;   // (N, C, H, W) of the last Forward
+  tensor::Shape input_shape_;   // (C, N, H, W) of the last Forward
 
   // Reused arenas (see the class comment for the memory bound). cols_
   // doubles as the backward cache: it holds everything dW needs, so the
   // layer keeps only the input's shape, not a copy of the input.
   std::vector<float> cols_;      // (patch, N·Ho·Wo) im2col of the input
   std::vector<float> dcols_;     // (patch, N·Ho·Wo) patch gradients
-  std::vector<float> out_flat_;  // (out, N·Ho·Wo) channel-major activations
-  std::vector<float> gout_flat_; // (out, N·Ho·Wo) channel-major out-grads
 };
 
 }  // namespace nn

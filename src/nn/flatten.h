@@ -1,4 +1,7 @@
-// Flattens NCHW activations to (N, C*H*W) and restores the shape on backward.
+// Flattens channel-major {C, N, H, W} activations to {N, C·H·W} and
+// transposes the gradient back on backward. Sample n's features are in the
+// order c·H·W + i·W + j, so Dense sees each sample's channels in turn. This
+// is the one transpose in the model; for C == 1 it is a plain copy.
 #pragma once
 
 #include "nn/layer.h"

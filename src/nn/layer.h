@@ -3,6 +3,11 @@
 // There is no autograd graph: each layer caches what its backward pass needs
 // during Forward and exposes parameter/gradient tensors to the optimizer.
 // This is the entire contract the FL substrate depends on.
+//
+// Layout: 2-D activations are {N, features}. 4-D activations and their
+// gradients are channel-major, {C, N, H, W}: each channel's batch is one
+// contiguous N·H·W block, which is the column layout of the conv GEMMs.
+// Flatten is the one transpose between the two.
 #pragma once
 
 #include <string>
@@ -16,13 +21,20 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  // Computes the layer output for a batch-first input and caches whatever
-  // the backward pass needs.
+  // Computes the layer output for a batch (in the layout above) and caches
+  // whatever the backward pass needs.
   virtual tensor::Tensor Forward(const tensor::Tensor& input) = 0;
 
   // Given dL/d(output), accumulates parameter gradients (+=) and returns
   // dL/d(input). Must be called after a matching Forward.
   virtual tensor::Tensor Backward(const tensor::Tensor& grad_output) = 0;
+
+  // Backward for the first layer of a model, whose input gradient nobody
+  // reads: accumulates the same parameter gradients as Backward. Layers
+  // that can skip computing dL/d(input) override it.
+  virtual void BackwardParamsOnly(const tensor::Tensor& grad_output) {
+    Backward(grad_output);
+  }
 
   // Trainable parameters and their gradient accumulators, index-aligned.
   // Parameterless layers return empty vectors.

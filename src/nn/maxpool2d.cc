@@ -7,7 +7,8 @@
 namespace nn {
 namespace {
 
-// The planes of an NCHW tensor are contiguous and each plane's height is a
+// The H×W planes of a {C, N, H, W} tensor are contiguous (pooling never
+// looks across the two leading dims) and each plane's height is a
 // multiple of the window, so the batch pools as one stack of `rows` output
 // rows: output row r reads input rows [r·win, (r+1)·win). kWindow == 0
 // reads the window from `window`; a nonzero kWindow only lets the compiler
@@ -69,16 +70,16 @@ MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {
 
 tensor::Tensor MaxPool2d::Forward(const tensor::Tensor& input) {
   AF_CHECK_EQ(input.rank(), 4u);
-  const std::size_t batch = input.dim(0), channels = input.dim(1);
+  const std::size_t channels = input.dim(0), batch = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   AF_CHECK_EQ(h % window_, 0u) << "height not divisible by pooling window";
   AF_CHECK_EQ(w % window_, 0u) << "width not divisible by pooling window";
 
   cached_shape_ = input.shape();
-  tensor::Tensor out({batch, channels, h / window_, w / window_});
+  tensor::Tensor out({channels, batch, h / window_, w / window_});
   argmax_.resize(out.size());
   auto* forward = window_ == 2 ? &PoolForward<2> : &PoolForward<0>;
-  forward(input.data().data(), batch * channels * (h / window_), w, window_,
+  forward(input.data().data(), channels * batch * (h / window_), w, window_,
           out.data().data(), argmax_.data());
   return out;
 }

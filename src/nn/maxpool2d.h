@@ -1,4 +1,5 @@
-// Max pooling with stride equal to the window size.
+// Max pooling with stride equal to the window size, over each H×W plane of
+// a {C, N, H, W} activation.
 //
 // Each window is scanned row-major with a strict `>` from −inf, so ties go
 // to the first element scanned and NaN never wins. Forward keeps the

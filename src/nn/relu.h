@@ -1,4 +1,5 @@
-// Elementwise ReLU.
+// Elementwise ReLU, so it takes any layout ({N, features} or
+// {C, N, H, W}) unchanged.
 //
 // Forward writes the output and a 1-byte keep-mask in one branch-free pass;
 // backward is one branch-free select over the mask. Edge semantics: the

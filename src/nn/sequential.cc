@@ -19,13 +19,15 @@ tensor::Tensor Sequential::Forward(const tensor::Tensor& input) {
   return activation;
 }
 
-tensor::Tensor Sequential::Backward(const tensor::Tensor& grad_output) {
+void Sequential::Backward(const tensor::Tensor& grad_output) {
   AF_CHECK(!layers_.empty());
-  tensor::Tensor grad = layers_.back()->Backward(grad_output);
-  for (std::size_t i = layers_.size() - 1; i-- > 0;) {
-    grad = layers_[i]->Backward(grad);
+  const tensor::Tensor* grad = &grad_output;
+  tensor::Tensor next;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    next = layers_[i]->Backward(*grad);
+    grad = &next;
   }
-  return grad;
+  layers_.front()->BackwardParamsOnly(*grad);
 }
 
 void Sequential::ZeroGrads() {

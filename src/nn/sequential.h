@@ -23,8 +23,9 @@ class Sequential {
   tensor::Tensor Forward(const tensor::Tensor& input);
 
   // Propagates dL/d(output) back through every layer, accumulating parameter
-  // gradients. Returns dL/d(input).
-  tensor::Tensor Backward(const tensor::Tensor& grad_output);
+  // gradients. dL/d(input) is never formed: the first layer runs
+  // BackwardParamsOnly.
+  void Backward(const tensor::Tensor& grad_output);
 
   void ZeroGrads();
 

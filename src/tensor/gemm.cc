@@ -1,7 +1,6 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -24,61 +23,71 @@ constexpr std::size_t kMc = 96;
 constexpr std::size_t kKc = kGemmKc;
 constexpr std::size_t kNc = 2048;
 
-std::atomic<util::ThreadPool*> g_compute_pool{nullptr};
-
 std::size_t RoundUp(std::size_t x, std::size_t to) {
   return (x + to - 1) / to * to;
 }
 
-// Reads element (i, j) of an op-transformed matrix stored with row stride
-// ld. Kept branch-light: op is loop-invariant at every call site.
-inline float LogicalAt(Op op, const float* p, std::size_t ld, std::size_t i,
-                       std::size_t j) {
-  return op == Op::kNone ? p[i * ld + j] : p[j * ld + i];
+// Copies kc runs of `live` floats, run p read from src + p·ld, into the
+// k-major panel rows dst + p·kWidth. A full run (live == kWidth) is a
+// fixed-size copy the compiler inlines.
+template <std::size_t kWidth>
+void CopyRuns(const float* src, std::size_t ld, std::size_t live,
+              std::size_t kc, float* dst) {
+  if (live == kWidth) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      std::memcpy(dst + p * kWidth, src + p * ld, kWidth * sizeof(float));
+    }
+    return;
+  }
+  for (std::size_t p = 0; p < kc; ++p) {
+    std::memcpy(dst + p * kWidth, src + p * ld, live * sizeof(float));
+  }
 }
 
 // Packs rows [row0, row0+rows) × cols [pc, pc+kc) of op(A) into kMr-row
 // micro-panels: panel s holds logical rows [s·kMr, (s+1)·kMr), stored
-// k-major (ap[p·kMr + r]). Rows past `rows` are zero so the micro-kernel
-// never needs a bounds check.
+// k-major (ap[p·kMr + r]). The source is read along its contiguous
+// direction: a row of A (kNone) is transposed into the panel, a row of
+// Aᵀ's storage (kTranspose) already is a panel row. Rows past `rows` are
+// zeroed by one memset before the copy, so the micro-kernel never needs a
+// bounds check and no copy loop carries a per-element branch.
 void PackA(Op op, const float* a, std::size_t lda, std::size_t row0,
            std::size_t rows, std::size_t pc, std::size_t kc, float* ap) {
   const std::size_t panels = RoundUp(rows, kMr) / kMr;
   for (std::size_t s = 0; s < panels; ++s) {
     float* panel = ap + s * kc * kMr;
-    for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t r = 0; r < kMr; ++r) {
-        const std::size_t row = s * kMr + r;
-        panel[p * kMr + r] =
-            row < rows ? LogicalAt(op, a, lda, row0 + row, pc + p) : 0.0f;
-      }
+    const std::size_t live = std::min(kMr, rows - s * kMr);
+    const std::size_t first = row0 + s * kMr;
+    if (live < kMr) {
+      std::memset(panel, 0, kc * kMr * sizeof(float));
+    }
+    if (op == Op::kNone) {
+      kernels::Transpose(a + first * lda + pc, lda, live, kc, panel, kMr);
+    } else {
+      CopyRuns<kMr>(a + pc * lda + first, lda, live, kc, panel);
     }
   }
 }
 
 // Packs rows [pc, pc+kc) × cols [col0, col0+cols) of op(B) into kNr-column
 // slivers: sliver t holds logical columns [t·kNr, (t+1)·kNr), stored
-// k-major (bp[p·kNr + j]), zero-padded past `cols`.
+// k-major (bp[p·kNr + j]). Read along the source's contiguous direction
+// like PackA (kNone copies row runs, kTranspose transposes); columns past
+// `cols` are zeroed before the copy.
 void PackB(Op op, const float* b, std::size_t ldb, std::size_t pc,
            std::size_t kc, std::size_t col0, std::size_t cols, float* bp) {
   const std::size_t slivers = RoundUp(cols, kNr) / kNr;
   for (std::size_t t = 0; t < slivers; ++t) {
     float* sliver = bp + t * kc * kNr;
-    const std::size_t base = t * kNr;
-    if (op == Op::kNone && base + kNr <= cols) {
-      // Common fast path: contiguous row segments.
-      for (std::size_t p = 0; p < kc; ++p) {
-        std::memcpy(sliver + p * kNr, b + (pc + p) * ldb + col0 + base,
-                    kNr * sizeof(float));
-      }
-      continue;
+    const std::size_t live = std::min(kNr, cols - t * kNr);
+    const std::size_t first = col0 + t * kNr;
+    if (live < kNr) {
+      std::memset(sliver, 0, kc * kNr * sizeof(float));
     }
-    for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t j = 0; j < kNr; ++j) {
-        const std::size_t col = base + j;
-        sliver[p * kNr + j] =
-            col < cols ? LogicalAt(op, b, ldb, pc + p, col0 + col) : 0.0f;
-      }
+    if (op == Op::kNone) {
+      CopyRuns<kNr>(b + pc * ldb + first, ldb, live, kc, sliver);
+    } else {
+      kernels::Transpose(b + first * ldb + pc, ldb, live, kc, sliver, kNr);
     }
   }
 }
@@ -240,15 +249,7 @@ void Gemm(Op op_a, Op op_b, const Tensor& a, const Tensor& b, Tensor& c,
   AF_CHECK_EQ(c.dim(1), n);
   AF_CHECK(bias == nullptr || beta == 0.0f) << "bias requires beta == 0";
   Sgemm(op_a, op_b, m, n, k, a.data().data(), a.dim(1), b.data().data(),
-        b.dim(1), c.data().data(), n, bias, beta, ComputePool());
-}
-
-void SetComputePool(util::ThreadPool* pool) {
-  g_compute_pool.store(pool, std::memory_order_release);
-}
-
-util::ThreadPool* ComputePool() {
-  return g_compute_pool.load(std::memory_order_acquire);
+        b.dim(1), c.data().data(), n, bias, beta);
 }
 
 }  // namespace tensor

@@ -329,6 +329,62 @@ void SumRowsAccum(const float* m, std::size_t rows, std::size_t cols,
   }
 }
 
+void Transpose(const float* src, std::size_t ld_src, std::size_t rows,
+               std::size_t cols, float* dst, std::size_t ld_dst) {
+  std::size_t i = 0;
+#if AF_KERNELS_X86 && defined(__SSE2__)
+  // SSE is part of the x86-64 baseline, so no ISA dispatch: a transpose
+  // moves bits and is the same on every path.
+  for (; i + 4 <= rows; i += 4) {
+    const float* s = src + i * ld_src;
+    std::size_t j = 0;
+    for (; j + 4 <= cols; j += 4) {
+      __m128 r0 = _mm_loadu_ps(s + j);
+      __m128 r1 = _mm_loadu_ps(s + ld_src + j);
+      __m128 r2 = _mm_loadu_ps(s + 2 * ld_src + j);
+      __m128 r3 = _mm_loadu_ps(s + 3 * ld_src + j);
+      _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+      _mm_storeu_ps(dst + j * ld_dst + i, r0);
+      _mm_storeu_ps(dst + (j + 1) * ld_dst + i, r1);
+      _mm_storeu_ps(dst + (j + 2) * ld_dst + i, r2);
+      _mm_storeu_ps(dst + (j + 3) * ld_dst + i, r3);
+    }
+    for (; j < cols; ++j) {
+      for (std::size_t r = 0; r < 4; ++r) {
+        dst[j * ld_dst + i + r] = s[r * ld_src + j];
+      }
+    }
+  }
+  if (i + 2 <= rows) {
+    // Two rows interleave into float pairs.
+    const float* s0 = src + i * ld_src;
+    const float* s1 = s0 + ld_src;
+    std::size_t j = 0;
+    for (; j + 4 <= cols; j += 4) {
+      const __m128 a = _mm_loadu_ps(s0 + j);
+      const __m128 b = _mm_loadu_ps(s1 + j);
+      const __m128 lo = _mm_unpacklo_ps(a, b);
+      const __m128 hi = _mm_unpackhi_ps(a, b);
+      _mm_storel_pi(reinterpret_cast<__m64*>(dst + j * ld_dst + i), lo);
+      _mm_storeh_pi(reinterpret_cast<__m64*>(dst + (j + 1) * ld_dst + i), lo);
+      _mm_storel_pi(reinterpret_cast<__m64*>(dst + (j + 2) * ld_dst + i), hi);
+      _mm_storeh_pi(reinterpret_cast<__m64*>(dst + (j + 3) * ld_dst + i), hi);
+    }
+    for (; j < cols; ++j) {
+      dst[j * ld_dst + i] = s0[j];
+      dst[j * ld_dst + i + 1] = s1[j];
+    }
+    i += 2;
+  }
+#endif
+  for (; i < rows; ++i) {
+    const float* s = src + i * ld_src;
+    for (std::size_t j = 0; j < cols; ++j) {
+      dst[j * ld_dst + i] = s[j];
+    }
+  }
+}
+
 // ---- SGEMM micro-kernel ---------------------------------------------------
 
 namespace {

@@ -69,6 +69,12 @@ void AddBias(float* row, const float* bias, std::size_t n);
 void SumRowsAccum(const float* m, std::size_t rows, std::size_t cols,
                   float* out);
 
+// dst[j * ld_dst + i] = src[i * ld_src + j] for i < rows, j < cols: reads
+// src along its rows and writes the transpose in 4×4 register tiles. The
+// GEMM packs use it to turn k-contiguous operands into k-major panels.
+void Transpose(const float* src, std::size_t ld_src, std::size_t rows,
+               std::size_t cols, float* dst, std::size_t ld_dst);
+
 // ---- SGEMM micro-kernel ---------------------------------------------------
 
 // Micro-tile geometry shared with the blocked driver in gemm.cc. kMr rows ×

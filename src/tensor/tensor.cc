@@ -40,15 +40,16 @@ float Tensor::At(std::size_t r, std::size_t c) const {
   return data_[r * shape_[1] + c];
 }
 
-float& Tensor::At(std::size_t n, std::size_t c, std::size_t h, std::size_t w) {
+float& Tensor::At(std::size_t i0, std::size_t i1, std::size_t i2,
+                  std::size_t i3) {
   AF_CHECK_EQ(rank(), 4u);
-  return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
+  return data_[((i0 * shape_[1] + i1) * shape_[2] + i2) * shape_[3] + i3];
 }
 
-float Tensor::At(std::size_t n, std::size_t c, std::size_t h,
-                 std::size_t w) const {
+float Tensor::At(std::size_t i0, std::size_t i1, std::size_t i2,
+                 std::size_t i3) const {
   AF_CHECK_EQ(rank(), 4u);
-  return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
+  return data_[((i0 * shape_[1] + i1) * shape_[2] + i2) * shape_[3] + i3];
 }
 
 void Tensor::Reshape(Shape new_shape) {

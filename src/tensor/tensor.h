@@ -46,9 +46,11 @@ class Tensor {
   float& At(std::size_t r, std::size_t c);
   float At(std::size_t r, std::size_t c) const;
 
-  // 4-D accessor for NCHW activations.
-  float& At(std::size_t n, std::size_t c, std::size_t h, std::size_t w);
-  float At(std::size_t n, std::size_t c, std::size_t h, std::size_t w) const;
+  // 4-D accessor in shape order: At(i0, i1, i2, i3) is element
+  // ((i0·d1 + i1)·d2 + i2)·d3 + i3 (nn's activations are {C, N, H, W}).
+  float& At(std::size_t i0, std::size_t i1, std::size_t i2, std::size_t i3);
+  float At(std::size_t i0, std::size_t i1, std::size_t i2,
+           std::size_t i3) const;
 
   // Reinterprets the tensor with a new shape of identical element count.
   void Reshape(Shape new_shape);

@@ -56,7 +56,36 @@ TEST(MakeBatchTest, PreservesMultiDimSampleShape) {
   d.labels = {0, 1};
   std::vector<std::size_t> indices{0, 1};
   Batch batch = MakeBatch(d, indices);
-  EXPECT_EQ(batch.features.shape(), (tensor::Shape{2, 1, 2, 2}));
+  // Channel-major: {C, N, H, W}.
+  EXPECT_EQ(batch.features.shape(), (tensor::Shape{1, 2, 2, 2}));
+}
+
+TEST(MakeBatchTest, ColourImagesBatchChannelMajor) {
+  // Three {3, 1, 2} samples; sample s, channel c, column j holds
+  // 100·s + 10·c + j.
+  Dataset d;
+  d.sample_shape = {3, 1, 2};
+  d.num_classes = 2;
+  for (int s = 0; s < 3; ++s) {
+    for (int c = 0; c < 3; ++c) {
+      for (int j = 0; j < 2; ++j) {
+        d.features.push_back(static_cast<float>(100 * s + 10 * c + j));
+      }
+    }
+  }
+  d.labels = {0, 1, 0};
+  std::vector<std::size_t> indices{2, 0};
+  Batch batch = MakeBatch(d, indices);
+  ASSERT_EQ(batch.features.shape(), (tensor::Shape{3, 2, 1, 2}));
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      for (std::size_t j = 0; j < 2; ++j) {
+        EXPECT_EQ(batch.features.At(c, k, 0, j),
+                  static_cast<float>(100 * indices[k] + 10 * c + j));
+      }
+    }
+  }
+  EXPECT_EQ(batch.labels, (std::vector<std::int64_t>{0, 0}));
 }
 
 TEST(MakeBatchTest, EmptyIndicesThrow) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "compress/codec.h"
+#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace net {
@@ -222,6 +223,29 @@ TEST(FrameTest, CompressedUpdateRoundTripsWithFeedback) {
   ASSERT_EQ(feedback.residual.size(), msg.delta.size());
   EXPECT_EQ(feedback.residual[7], 0.0f);
   EXPECT_FLOAT_EQ(feedback.residual[2], 0.001f);
+}
+
+TEST(FrameTest, OnlyUplinkDecodesChargeBytesCopied) {
+  // transport.bytes_copied counts the server's copies of received updates.
+  // A lossy broadcast decode materializes too, but on the client side (the
+  // pool shares the server's process), so it must not be counted.
+  obs::Counter& copied =
+      obs::DefaultRegistry().GetCounter("transport.bytes_copied");
+  const std::vector<float> values(37, 0.5f);
+
+  ModelBroadcastMsg broadcast;
+  broadcast.params = values;
+  const Frame down = EncodeModelBroadcast(broadcast, &compress::Get("fp16"));
+  std::uint64_t before = copied.Value();
+  EXPECT_EQ(DecodeModelBroadcast(down).params.size(), values.size());
+  EXPECT_EQ(copied.Value(), before);
+
+  ClientUpdateMsg update;
+  update.delta = values;
+  const Frame up = EncodeClientUpdate(update, &compress::Get("fp16"));
+  before = copied.Value();
+  EXPECT_EQ(DecodeClientUpdate(up).delta.size(), values.size());
+  EXPECT_EQ(copied.Value() - before, 4u * values.size());
 }
 
 TEST(FrameTest, CorruptCompressedPayloadThrows) {

@@ -37,6 +37,8 @@ TEST_P(GradientCheckTest, AnalyticMatchesNumeric) {
   util::RngFactory rngs(17);
   auto rng = rngs.Stream("gradcheck", GetParam());
 
+  // The draw is batch-first, {N, sample...}; image models take it
+  // channel-major, {C, N, H, W}, holding the same samples.
   tensor::Shape batch_shape;
   batch_shape.push_back(c.batch);
   for (std::size_t d : c.spec.sample_shape) {
@@ -44,6 +46,20 @@ TEST_P(GradientCheckTest, AnalyticMatchesNumeric) {
   }
   tensor::Tensor input(batch_shape);
   input.FillNormal(0.0f, 1.0f, rng);
+  if (input.rank() == 4) {
+    tensor::Tensor cnhw({batch_shape[1], c.batch, batch_shape[2],
+                         batch_shape[3]});
+    for (std::size_t n = 0; n < c.batch; ++n) {
+      for (std::size_t ch = 0; ch < batch_shape[1]; ++ch) {
+        for (std::size_t i = 0; i < batch_shape[2]; ++i) {
+          for (std::size_t j = 0; j < batch_shape[3]; ++j) {
+            cnhw.At(ch, n, i, j) = input.At(n, ch, i, j);
+          }
+        }
+      }
+    }
+    input = std::move(cnhw);
+  }
   std::vector<std::int64_t> labels(c.batch);
   std::uniform_int_distribution<std::int64_t> pick(
       0, static_cast<std::int64_t>(c.spec.num_classes) - 1);

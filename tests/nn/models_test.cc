@@ -11,7 +11,7 @@ TEST(ModelsTest, LeNetSurrogateShapes) {
   ModelSpec spec = MakeLeNet5Surrogate(12);
   EXPECT_EQ(spec.sample_shape, (tensor::Shape{1, 12, 12}));
   auto model = spec.factory(1);
-  tensor::Tensor in({3, 1, 12, 12});
+  tensor::Tensor in({1, 3, 12, 12});  // {C, N, H, W}
   tensor::Tensor out = model->Forward(in);
   EXPECT_EQ(out.dim(0), 3u);
   EXPECT_EQ(out.dim(1), 10u);
@@ -21,8 +21,9 @@ TEST(ModelsTest, VggSurrogateShapes) {
   ModelSpec spec = MakeVggSurrogate(8);
   EXPECT_EQ(spec.sample_shape, (tensor::Shape{3, 8, 8}));
   auto model = spec.factory(1);
-  tensor::Tensor in({2, 3, 8, 8});
+  tensor::Tensor in({3, 2, 8, 8});  // {C, N, H, W}
   tensor::Tensor out = model->Forward(in);
+  EXPECT_EQ(out.dim(0), 2u);
   EXPECT_EQ(out.dim(1), 10u);
 }
 

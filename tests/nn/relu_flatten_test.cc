@@ -112,7 +112,7 @@ TEST(ReLUTest, BackwardShapeMismatchThrows) {
 
 TEST(FlattenTest, CollapsesTrailingDims) {
   Flatten flatten;
-  tensor::Tensor in({2, 3, 4, 4});
+  tensor::Tensor in({3, 2, 4, 4});  // {C, N, H, W}
   tensor::Tensor out = flatten.Forward(in);
   EXPECT_EQ(out.rank(), 2u);
   EXPECT_EQ(out.dim(0), 2u);
@@ -121,20 +121,51 @@ TEST(FlattenTest, CollapsesTrailingDims) {
 
 TEST(FlattenTest, BackwardRestoresShape) {
   Flatten flatten;
-  tensor::Tensor in({2, 3, 2, 2});
+  tensor::Tensor in({2, 3, 2, 2});  // C = 2, N = 3
   flatten.Forward(in);
-  tensor::Tensor grad_out({2, 12});
+  tensor::Tensor grad_out({3, 8});
   tensor::Tensor grad_in = flatten.Backward(grad_out);
   EXPECT_EQ(grad_in.shape(), in.shape());
 }
 
 TEST(FlattenTest, DataOrderPreserved) {
+  // Channel-major in ({C=2, N=2, 1, 2}), per-sample channels out.
   Flatten flatten;
-  tensor::Tensor in({1, 2, 1, 2}, {1, 2, 3, 4});
+  tensor::Tensor in({2, 2, 1, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
   tensor::Tensor out = flatten.Forward(in);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_FLOAT_EQ(out[i], static_cast<float>(i + 1));
+  ASSERT_EQ(out.shape(), (tensor::Shape{2, 4}));
+  const float expected[] = {1, 2, 5, 6, 3, 4, 7, 8};
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_FLOAT_EQ(out[i], expected[i]) << i;
   }
+}
+
+TEST(FlattenTest, RoundTripsChannelMajorLayout) {
+  // Feature c·H·W + i·W + j of sample n is element (c, n, i, j), and
+  // backward is the exact inverse.
+  std::mt19937_64 rng(9);
+  tensor::Tensor in({3, 5, 2, 4});
+  in.FillNormal(0.0f, 1.0f, rng);
+  Flatten flatten;
+  tensor::Tensor out = flatten.Forward(in);
+  ASSERT_EQ(out.shape(), (tensor::Shape{5, 24}));
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t n = 0; n < 5; ++n) {
+      for (std::size_t i = 0; i < 2; ++i) {
+        for (std::size_t j = 0; j < 4; ++j) {
+          EXPECT_EQ(out.At(n, c * 8 + i * 4 + j), in.At(c, n, i, j));
+        }
+      }
+    }
+  }
+  tensor::Tensor back = flatten.Backward(out);
+  ASSERT_EQ(back.shape(), in.shape());
+  EXPECT_EQ(back.vec(), in.vec());
+}
+
+TEST(FlattenTest, RejectsNonImageInput) {
+  Flatten flatten;
+  EXPECT_THROW(flatten.Forward(tensor::Tensor({2, 6})), util::CheckError);
 }
 
 }  // namespace

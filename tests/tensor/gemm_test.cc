@@ -357,6 +357,79 @@ TEST(GemmTest, DirectPathMatchesPackedPathBitwise) {
   kernels::ResetForcedIsa();
 }
 
+// Every pack case against the kNone pack of an explicitly transposed copy,
+// for op_a and op_b alike: ragged m (not a multiple of kMr), ragged n (not a
+// multiple of kNr) and k over several kGemmKc blocks. Operands sit in
+// wider buffers (row stride = width + 3), so the packs' strides are live.
+TEST(GemmTest, TransposedPacksMatchExplicitTransposeBitwise) {
+  constexpr std::size_t kPad = 3;
+  struct Stored {
+    std::vector<float> data;
+    std::size_t ld;
+  };
+  // rows × cols matrix with row stride cols + kPad; the pad is NaN, so a
+  // pack that strays into it poisons the result.
+  auto random_stored = [](std::size_t rows, std::size_t cols,
+                          std::mt19937_64& rng) {
+    Stored m{std::vector<float>(rows * (cols + kPad),
+                                std::numeric_limits<float>::quiet_NaN()),
+             cols + kPad};
+    std::normal_distribution<float> dist(0.0f, 1.0f);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        m.data[i * m.ld + j] = dist(rng);
+      }
+    }
+    return m;
+  };
+  auto transposed = [](const Stored& m, std::size_t rows, std::size_t cols) {
+    Stored t{std::vector<float>(cols * (rows + kPad),
+                                std::numeric_limits<float>::quiet_NaN()),
+             rows + kPad};
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        t.data[j * t.ld + i] = m.data[i * m.ld + j];
+      }
+    }
+    return t;
+  };
+  const GemmShape shapes[] = {
+      {13, 37, kGemmKc + 44}, {97, 21, 2 * kGemmKc + 7}, {5, 130, 3 * kGemmKc},
+      {7, 9, kGemmKc - 1}};
+  for (kernels::Isa isa : AvailableIsas()) {
+    kernels::ForceIsa(isa);
+    std::mt19937_64 rng(79);
+    for (const GemmShape& s : shapes) {
+      const Stored a = random_stored(s.m, s.k, rng);   // op(A) = A
+      const Stored b = random_stored(s.k, s.n, rng);   // op(B) = B
+      const Stored at = transposed(a, s.m, s.k);       // Aᵀ stored k × m
+      const Stored bt = transposed(b, s.k, s.n);       // Bᵀ stored n × k
+      auto run = [&](Op op_a, const Stored& sa, Op op_b, const Stored& sb) {
+        std::vector<float> c(s.m * s.n);
+        Sgemm(op_a, op_b, s.m, s.n, s.k, sa.data.data(), sa.ld,
+              sb.data.data(), sb.ld, c.data(), s.n);
+        return c;
+      };
+      const std::vector<float> plain = run(Op::kNone, a, Op::kNone, b);
+      for (float v : plain) {
+        ASSERT_FALSE(std::isnan(v)) << "a pack read the stride padding";
+      }
+      const std::vector<float> trans_a = run(Op::kTranspose, at, Op::kNone, b);
+      const std::vector<float> trans_b = run(Op::kNone, a, Op::kTranspose, bt);
+      const std::vector<float> both =
+          run(Op::kTranspose, at, Op::kTranspose, bt);
+      const std::size_t bytes = plain.size() * sizeof(float);
+      EXPECT_EQ(std::memcmp(plain.data(), trans_a.data(), bytes), 0)
+          << "op_a " << s.m << "x" << s.n << "x" << s.k;
+      EXPECT_EQ(std::memcmp(plain.data(), trans_b.data(), bytes), 0)
+          << "op_b " << s.m << "x" << s.n << "x" << s.k;
+      EXPECT_EQ(std::memcmp(plain.data(), both.data(), bytes), 0)
+          << "both " << s.m << "x" << s.n << "x" << s.k;
+    }
+  }
+  kernels::ResetForcedIsa();
+}
+
 // gemm.bytes_packed counts the panels actually packed: always the A panel,
 // and of B only what the packed path or a ragged direct-path sliver copies.
 TEST(GemmTest, BytesPackedCountsOnlyPackedPanels) {
