@@ -1,5 +1,8 @@
 #include "fl/backend.h"
 
+#include <algorithm>
+#include <chrono>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -27,44 +30,60 @@ std::size_t InprocBackend::NumSamples(int client_id) const {
 
 std::vector<net::UpdateView> InprocBackend::Train(
     const std::vector<TrainJob>& jobs) {
-  // Same-client jobs share a model instance; serialise them into waves so
-  // each wave touches each client at most once.
-  std::vector<std::vector<std::size_t>> waves;
-  std::vector<std::size_t> jobs_seen(clients_.size(), 0);
+  // Same-client jobs share a model instance (and, with a codec, an
+  // error-feedback stream), so each client's jobs form one chain that runs
+  // in job order on one thread. Chains run longest-first in one ParallelFor
+  // (its shards take indices in order), so a client that reports several
+  // times in a buffer window starts first and single jobs fill in around it.
+  std::vector<std::vector<std::size_t>> chains;
+  std::vector<std::size_t> chain_of(clients_.size(), jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const std::size_t cid = static_cast<std::size_t>(jobs[j].client_id);
-    const std::size_t wave = jobs_seen[cid]++;
-    if (waves.size() <= wave) {
-      waves.emplace_back();
+    if (chain_of[cid] == jobs.size()) {
+      chain_of[cid] = chains.size();
+      chains.emplace_back();
     }
-    waves[wave].push_back(j);
+    chains[chain_of[cid]].push_back(j);
   }
+  std::stable_sort(chains.begin(), chains.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.size() > b.size();
+                   });
 
   std::vector<net::UpdateView> honest(jobs.size());
+  obs::Histogram& job_us =
+      obs::DefaultRegistry().GetHistogram("train.job_us");
   // Mirror of the wire's downlink policy: broadcast-safe codecs compress
   // full params, delta-only codecs fall back to identity for the base.
   const bool lossy_downlink = codec_ != nullptr && codec_->broadcast_safe();
-  for (const auto& wave : waves) {
-    AF_TRACE_SPAN("train.wave");
-    pool_->ParallelFor(wave.size(), [&](std::size_t w) {
-      AF_TRACE_SPAN("train.job");
-      const std::size_t j = wave[w];
-      const TrainJob& job = jobs[j];
-      const std::size_t cid = static_cast<std::size_t>(job.client_id);
-      const std::uint64_t stream_index =
-          (static_cast<std::uint64_t>(cid) << 32) | job.job_index;
-      auto rng = rngs_.Stream("client-train", stream_index);
-      if (codec_ == nullptr) {
-        honest[j] = clients_[cid]->TrainOnce(*job.base, local_, rng);
-        return;
-      }
-      // Feedback stays per-client: each wave holds one job per client and
-      // waves run in job_index order, matching the tcp worker's sequential
-      // encode order.
+  auto run_job = [&](std::size_t j) {
+    AF_TRACE_SPAN("train.job");
+    const auto start = std::chrono::steady_clock::now();
+    const TrainJob& job = jobs[j];
+    const std::size_t cid = static_cast<std::size_t>(job.client_id);
+    const std::uint64_t stream_index =
+        (static_cast<std::uint64_t>(cid) << 32) | job.job_index;
+    auto rng = rngs_.Stream("client-train", stream_index);
+    if (codec_ == nullptr) {
+      honest[j] = clients_[cid]->TrainOnce(*job.base, local_, rng);
+    } else {
+      // Feedback stays per-client: the chain runs this client's jobs in
+      // job_index order, matching the tcp worker's sequential encode order.
       const std::vector<float> base =
           lossy_downlink ? compress::RoundTrip(*codec_, *job.base) : *job.base;
       std::vector<float> delta = clients_[cid]->TrainOnce(base, local_, rng);
       honest[j] = compress::RoundTrip(*codec_, delta, &feedback_[cid]);
+    }
+    job_us.Record(std::chrono::duration<double, std::micro>(
+                      std::chrono::steady_clock::now() - start)
+                      .count());
+  };
+  {
+    AF_TRACE_SPAN("train.batch");
+    pool_->ParallelFor(chains.size(), [&](std::size_t c) {
+      for (std::size_t j : chains[c]) {
+        run_job(j);
+      }
     });
   }
   // Inproc jobs never serialize: every delta view takes ownership of the

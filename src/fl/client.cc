@@ -1,5 +1,9 @@
 #include "fl/client.h"
 
+#include <algorithm>
+#include <atomic>
+#include <numeric>
+
 #include "nn/loss.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -51,26 +55,45 @@ std::vector<float> Client::TrainOnce(std::span<const float> base_params,
   return delta;
 }
 
-double EvaluateAccuracy(const nn::ModelSpec& spec, nn::Sequential& model,
+double EvaluateAccuracy(const nn::ModelSpec& spec,
+                        std::span<nn::Sequential* const> models,
                         std::span<const float> params,
-                        const data::Dataset& dataset, std::size_t batch_size) {
+                        const data::Dataset& dataset, util::ThreadPool* pool,
+                        std::size_t batch_size) {
   AF_TRACE_SPAN("eval.batch_accuracy");
   AF_CHECK_GT(dataset.size(), 0u);
+  AF_CHECK_GT(batch_size, 0u);
+  AF_CHECK(!models.empty());
   AF_CHECK_EQ(dataset.num_classes, spec.num_classes);
-  model.SetFlatParams(params);
-  std::size_t correct = 0;
-  std::vector<std::size_t> indices;
-  for (std::size_t start = 0; start < dataset.size(); start += batch_size) {
-    const std::size_t end = std::min(start + batch_size, dataset.size());
-    indices.resize(end - start);
-    for (std::size_t i = start; i < end; ++i) {
-      indices[i - start] = i;
+  const std::size_t num_batches = (dataset.size() + batch_size - 1) / batch_size;
+  std::atomic<std::size_t> next_batch{0};
+  std::vector<std::size_t> correct(models.size(), 0);
+  auto worker = [&](std::size_t r) {
+    std::size_t b = next_batch.fetch_add(1);
+    if (b >= num_batches) {
+      return;  // nothing left: skip loading this replica
     }
-    data::Batch batch = data::MakeBatch(dataset, indices);
-    tensor::Tensor logits = model.Forward(batch.features);
-    correct += nn::CountCorrect(logits, batch.labels);
+    nn::Sequential& model = *models[r];
+    model.SetFlatParams(params);
+    std::vector<std::size_t> indices;
+    for (; b < num_batches; b = next_batch.fetch_add(1)) {
+      const std::size_t start = b * batch_size;
+      const std::size_t end = std::min(start + batch_size, dataset.size());
+      indices.resize(end - start);
+      std::iota(indices.begin(), indices.end(), start);
+      data::Batch batch = data::MakeBatch(dataset, indices);
+      tensor::Tensor logits = model.Forward(batch.features);
+      correct[r] += nn::CountCorrect(logits, batch.labels);
+    }
+  };
+  if (pool == nullptr) {
+    worker(0);
+  } else {
+    pool->ParallelFor(models.size(), worker);
   }
-  return static_cast<double>(correct) / static_cast<double>(dataset.size());
+  const std::size_t total =
+      std::accumulate(correct.begin(), correct.end(), std::size_t{0});
+  return static_cast<double>(total) / static_cast<double>(dataset.size());
 }
 
 }  // namespace fl

@@ -13,8 +13,12 @@
 #include "data/dataset.h"
 #include "nn/models.h"
 #include "nn/optimizer.h"
+#include "util/thread_pool.h"
 
 namespace fl {
+
+// EvaluateAccuracy's default batch size (samples per replica call).
+inline constexpr std::size_t kEvalBatch = 16;
 
 struct LocalTrainConfig {
   std::size_t epochs = 5;
@@ -47,13 +51,32 @@ class Client {
   std::unique_ptr<nn::Sequential> model_;
 };
 
-// Server-side accuracy evaluation of flat parameters on a dataset. The
-// result does not depend on batch_size (each sample's logits are computed
-// independently of the rest of its batch); the default keeps the Conv2d
-// im2col arenas small enough to stay in L2.
-double EvaluateAccuracy(const nn::ModelSpec& spec, nn::Sequential& model,
+// Server-side accuracy evaluation of flat parameters on a dataset.
+//
+// The dataset's batches are shared out over `models`, one replica per
+// worker: each replica loads `params`, then pulls batch indices from a
+// shared counter until none are left, and the integer correct-counts are
+// summed. With a `pool` the replicas run as one ParallelFor on it; without
+// one, the first replica runs the same loop on the calling thread.
+// The result is bit-identical for any replica count and any batch_size,
+// since each sample's logits are computed independently of the rest of its
+// batch. The default batch keeps a replica's Conv2d im2col arenas small
+// (see docs/PERFORMANCE.md).
+double EvaluateAccuracy(const nn::ModelSpec& spec,
+                        std::span<nn::Sequential* const> models,
                         std::span<const float> params,
                         const data::Dataset& dataset,
-                        std::size_t batch_size = 32);
+                        util::ThreadPool* pool = nullptr,
+                        std::size_t batch_size = kEvalBatch);
+
+// The single-replica case, on the calling thread.
+inline double EvaluateAccuracy(const nn::ModelSpec& spec,
+                               nn::Sequential& model,
+                               std::span<const float> params,
+                               const data::Dataset& dataset,
+                               std::size_t batch_size = kEvalBatch) {
+  nn::Sequential* const one[] = {&model};
+  return EvaluateAccuracy(spec, one, params, dataset, nullptr, batch_size);
+}
 
 }  // namespace fl

@@ -24,6 +24,7 @@
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace fl {
 namespace {
@@ -53,8 +54,7 @@ int ResolvePoolWorkers(int requested) {
   if (requested > 0) {
     return requested;
   }
-  const unsigned cores = std::thread::hardware_concurrency();
-  return cores == 0 ? 1 : static_cast<int>(cores);
+  return static_cast<int>(util::ThreadPool::AvailableCpus());
 }
 
 // ---------------------------------------------------------------------

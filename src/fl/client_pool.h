@@ -68,7 +68,7 @@ struct ClientPoolSpec {
   Mode mode = Mode::kVirtual;
   // TCP connections carrying the fleet; 0 → ResolvePoolConnections default.
   int connections = 0;
-  // Training worker threads; 0 → hardware concurrency.
+  // Training worker threads; 0 → one per CPU in the affinity mask.
   int workers = 0;
   LatencyModelSpec latency;
 };
@@ -77,6 +77,7 @@ struct ClientPoolSpec {
 // 64 clients, clamped to [1, 256] — or one per client when fault injection
 // is armed, so a killed or truncated connection takes down only its own
 // client. An explicit request wins but never exceeds the population.
+// Workers: one per CPU in the affinity mask (util::ThreadPool's default).
 int ResolvePoolConnections(int requested, int num_clients,
                            bool faults_armed = false);
 int ResolvePoolWorkers(int requested);

@@ -16,9 +16,9 @@
 
 namespace fl {
 
-// How local training jobs are executed: in-process thread-pool waves, or
-// a client pool behind a loopback TCP transport (see docs/NETWORK.md).
-// Both are bit-identical for a given config.
+// How local training jobs are executed: per-client chains on an in-process
+// thread pool, or a client pool behind a loopback TCP transport (see
+// docs/NETWORK.md). Both are bit-identical for a given config.
 enum class TransportKind {
   kInproc,
   kTcp,
@@ -78,7 +78,7 @@ struct ExperimentConfig {
   SimulationConfig sim;
 
   // Execution.
-  std::size_t threads = 0;  // 0 → hardware concurrency
+  std::size_t threads = 0;  // 0 → every CPU in the affinity mask
   TransportKind transport = TransportKind::kInproc;
   TransportOptions net;  // only consulted when transport == kTcp
   // Client fleet shape for distributed transports: connections, workers,

@@ -52,7 +52,7 @@ void RuntimeOptions::Validate() const {
       << "--pool-connections must be >= 0 (0 picks a default)";
   AF_CHECK_LE(pool.connections, 4096) << "--pool-connections too large";
   AF_CHECK_GE(pool.workers, 0)
-      << "--pool-workers must be >= 0 (0 picks hardware concurrency)";
+      << "--pool-workers must be >= 0 (0 picks one per CPU in the affinity mask)";
   AF_CHECK_GE(pool.latency.base_ms, 0.0)
       << "--pool-latency-ms must be >= 0";
 }

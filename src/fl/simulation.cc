@@ -40,6 +40,8 @@ Simulation::Simulation(ExperimentSpec spec)
         << "ExperimentSpec: `codec` belongs to the clients form (a caller "
            "backend compresses on its own transport)";
     backend_ = spec.backend;
+    owned_pool_ = std::make_unique<util::ThreadPool>();
+    eval_pool_ = owned_pool_.get();
   } else {
     AF_CHECK(!spec.clients.empty())
         << "ExperimentSpec: one of `backend` or `clients` must be set";
@@ -49,6 +51,7 @@ Simulation::Simulation(ExperimentSpec spec)
         std::move(spec.clients), spec.pool, config_.seed, config_.local,
         codec);
     backend_ = owned_backend_.get();
+    eval_pool_ = spec.pool;
     if (codec != nullptr && codec->broadcast_safe()) {
       checkpoint_codec_ = codec;
     }
@@ -72,6 +75,7 @@ void Simulation::Init() {
   AF_CHECK_GT(config_.participation, 0.0);
   AF_CHECK_LE(config_.participation, 1.0);
   AF_CHECK_GT(config_.server_learning_rate, 0.0);
+  AF_CHECK_GT(config_.eval_every, 0u);
   AF_CHECK(attack_ != nullptr);
   AF_CHECK(defense_ != nullptr);
   AF_CHECK(test_set_ != nullptr);
@@ -144,7 +148,14 @@ void Simulation::WriteCheckpoint() const {
 
 SimulationResult Simulation::Run() {
   AF_TRACE_SPAN("sim.run");
-  auto eval_model = spec_.factory(config_.seed);
+  // One eval replica per pool worker; a replica allocates its layer arenas
+  // only once it runs a batch.
+  std::vector<std::unique_ptr<nn::Sequential>> eval_models;
+  std::vector<nn::Sequential*> eval_replicas;
+  for (std::size_t w = 0; w < eval_pool_->size(); ++w) {
+    eval_models.push_back(spec_.factory(config_.seed));
+    eval_replicas.push_back(eval_models.back().get());
+  }
   bool interrupted = false;
 
   // Run-level metrics; labelled by defense so grid runs stay separable.
@@ -159,6 +170,9 @@ SimulationResult Simulation::Run() {
   obs::Counter& rounds_counter = registry.GetCounter("sim.rounds",
                                                      metric_labels);
   obs::Gauge& round_gauge = registry.GetGauge("sim.round", metric_labels);
+  obs::Histogram& round_wall_us =
+      registry.GetHistogram("round.wall_us", metric_labels);
+  obs::Histogram& eval_us = registry.GetHistogram("eval.us", metric_labels);
   obs::AuditTrail& audit = obs::AuditTrail::Global();
 
   // Kick off every client (the paper's sampler selects all 100 each round).
@@ -170,6 +184,10 @@ SimulationResult Simulation::Run() {
     }
   }
 
+  // A round's wall time runs from the end of the previous round (or the
+  // start of Run) to the end of its bookkeeping, so a pass that collects
+  // only stale updates counts toward the round that follows it.
+  auto round_start = std::chrono::steady_clock::now();
   while (round_ < config_.rounds) {
     round_gauge.Set(static_cast<double>(round_));
     auto attack_rng = rngs_.Stream("attack", round_);
@@ -403,8 +421,12 @@ SimulationResult Simulation::Run() {
 
     if (round_ % config_.eval_every == 0 || round_ == config_.rounds) {
       AF_TRACE_SPAN("eval.accuracy");
-      record.test_accuracy =
-          EvaluateAccuracy(spec_, *eval_model, *global_, *test_set_);
+      const auto eval_start = std::chrono::steady_clock::now();
+      record.test_accuracy = EvaluateAccuracy(spec_, eval_replicas, *global_,
+                                              *test_set_, eval_pool_);
+      eval_us.Record(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - eval_start)
+                         .count());
       AF_LOG(kDebug) << defense_->Name() << " round " << round_
                      << " acc=" << record.test_accuracy;
     }
@@ -430,6 +452,11 @@ SimulationResult Simulation::Run() {
         WriteCheckpoint();
       }
     }
+    const auto round_end = std::chrono::steady_clock::now();
+    round_wall_us.Record(
+        std::chrono::duration<double, std::micro>(round_end - round_start)
+            .count());
+    round_start = round_end;
     if (stop_requested && round_ < config_.rounds) {
       AF_LOG(kInfo) << "sim: stop requested after round " << round_
                     << (checkpoint_.path.empty()

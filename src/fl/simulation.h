@@ -71,6 +71,10 @@ struct SimulationConfig {
 //     (the tcp transport uses this), with `clients` empty; or
 //   * `clients` + `pool` — the simulation owns an InprocBackend over the
 //     clients, executed on the caller-owned thread pool.
+// Evaluation runs on the clients form's `pool`; the backend form gets a
+// pool the simulation owns, one worker per CPU in the affinity mask. Either
+// way it runs between aggregation and the next training batch, never
+// alongside training.
 // `malicious_ids` route their reports through `attack`; `defense` decides
 // aggregation; `server_root` may be empty unless the defense declares
 // RequiresServerReference().
@@ -180,6 +184,8 @@ class Simulation {
   nn::ModelSpec spec_;  // copied: the simulation outlives caller temporaries
   std::unique_ptr<TrainBackend> owned_backend_;  // inproc convenience form
   TrainBackend* backend_ = nullptr;
+  std::unique_ptr<util::ThreadPool> owned_pool_;  // backend form's eval pool
+  util::ThreadPool* eval_pool_ = nullptr;
   // Codec for checkpoint model-pool blocks (registry singleton; null →
   // raw AFPM). LoadState sniffs, so it accepts either form regardless.
   const compress::Codec* checkpoint_codec_ = nullptr;

@@ -134,8 +134,8 @@ void Conv2d::Im2Col(const float* input, std::size_t batch, std::size_t h,
   }
 }
 
-void Conv2d::Col2Im(std::size_t batch, std::size_t h, std::size_t w,
-                    float* grad_input) {
+void Conv2d::Col2Im(float* dcols, std::size_t batch, std::size_t h,
+                    std::size_t w, float* grad_input) {
   const std::size_t ho = OutExtent(h);
   const std::size_t wo = OutExtent(w);
   const std::size_t ld = batch * ho * wo;
@@ -149,9 +149,9 @@ void Conv2d::Col2Im(std::size_t batch, std::size_t h, std::size_t w,
       const Range rows = ValidTaps(ki, padding_, h, ho);
       for (std::size_t kj = 0; kj < kernel_; ++kj) {
         const Range cols = ValidTaps(kj, padding_, w, wo);
-        float* srow = dcols_.data() + ((c * kernel_ + ki) * kernel_ + kj) * ld;
+        float* srow = dcols + ((c * kernel_ + ki) * kernel_ + kj) * ld;
         if (same) {
-          // Padding taps must add nothing, so they are zeroed (dcols_ is
+          // Padding taps must add nothing, so they are zeroed (dcols is
           // dead after this pass) rather than masked: NaN·0 is NaN, while
           // x + 0 is x for every sum here (it starts at +0, never −0).
           ZeroPaddingTaps(srow, batch, h, w, rows, cols);
@@ -281,16 +281,19 @@ tensor::Tensor Conv2d::Backward(const tensor::Tensor& grad_output) {
   const std::size_t patch = in_channels_ * kernel_ * kernel_;
   const std::size_t ld = batch * OutExtent(h) * OutExtent(w);
 
-  // dcols (patch × N·Ho·Wo) = Wᵀ · grad_output.
-  if (dcols_.size() < patch * ld) {
-    dcols_.resize(patch * ld);
+  // dcols (patch × N·Ho·Wo) = Wᵀ · grad_output. The patch gradients are
+  // dead once Col2Im returns, so every Conv2d on a thread shares one
+  // grow-only scratch instead of each model keeping its own.
+  thread_local std::vector<float> dcols;
+  if (dcols.size() < patch * ld) {
+    dcols.resize(patch * ld);
   }
   tensor::Sgemm(tensor::Op::kTranspose, tensor::Op::kNone, patch, ld,
                 out_channels_, weight_.data().data(), patch,
-                grad_output.data().data(), ld, dcols_.data(), ld);
+                grad_output.data().data(), ld, dcols.data(), ld);
 
   tensor::Tensor grad_input(input_shape_);
-  Col2Im(batch, h, w, grad_input.data().data());
+  Col2Im(dcols.data(), batch, h, w, grad_input.data().data());
   return grad_input;
 }
 

@@ -16,10 +16,12 @@
 // those taps in the patch gradients and then adds the whole span. Other
 // paddings go row by row.
 //
-// Scratch memory: the patch matrices live in per-layer arena buffers that
-// are reused across batches (grow-only, freed with the layer). Upper
-// bound: 2·patch·N·Ho·Wo floats for the im2col/col2im arenas, and
-// BackwardParamsOnly never allocates the col2im one.
+// Scratch memory: the im2col patch matrix lives in a per-layer arena that
+// is reused across batches (grow-only, freed with the layer): patch·N·Ho·Wo
+// floats. The col2im patch gradients are dead once Backward returns, so
+// they live in one grow-only thread_local scratch shared by every Conv2d
+// on the thread: the largest patch·N·Ho·Wo that thread has run Backward
+// on, held until the thread exits. BackwardParamsOnly never touches it.
 #pragma once
 
 #include <random>
@@ -56,9 +58,10 @@ class Conv2d : public Layer {
   // every position is written, so the arena needs no pre-zeroing.
   void Im2Col(const float* input, std::size_t batch, std::size_t h,
               std::size_t w);
-  // Adds the patch gradients in dcols_ back into `grad_input` (zeroed,
-  // {C, N, H, W}). Clobbers the padding taps of dcols_.
-  void Col2Im(std::size_t batch, std::size_t h, std::size_t w,
+  // Adds the patch gradients `dcols` (patch × N·Ho·Wo) back into
+  // `grad_input` (zeroed, {C, N, H, W}). Clobbers the padding taps of
+  // `dcols`.
+  void Col2Im(float* dcols, std::size_t batch, std::size_t h, std::size_t w,
               float* grad_input);
   // Checks grad_output against the last Forward and accumulates the
   // bias and weight gradients.
@@ -74,11 +77,10 @@ class Conv2d : public Layer {
   tensor::Tensor grad_bias_;
   tensor::Shape input_shape_;   // (C, N, H, W) of the last Forward
 
-  // Reused arenas (see the class comment for the memory bound). cols_
-  // doubles as the backward cache: it holds everything dW needs, so the
-  // layer keeps only the input's shape, not a copy of the input.
+  // Reused arena (see the class comment for the memory bound). It doubles
+  // as the backward cache: it holds everything dW needs, so the layer
+  // keeps only the input's shape, not a copy of the input.
   std::vector<float> cols_;      // (patch, N·Ho·Wo) im2col of the input
-  std::vector<float> dcols_;     // (patch, N·Ho·Wo) patch gradients
 };
 
 }  // namespace nn

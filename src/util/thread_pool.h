@@ -1,8 +1,10 @@
 // Fixed-size thread pool with a ParallelFor helper.
 //
-// Used only to parallelise independent client local-training jobs inside one
-// simulated FL round; determinism is preserved because every client draws
-// from its own pre-derived RNG stream and results are collected by index.
+// Parallelises independent client local-training jobs inside one simulated
+// FL round and the test-set batches of an evaluation; determinism is
+// preserved because every client draws from its own pre-derived RNG stream
+// and results are collected by index (or, for evaluation, summed as
+// integers).
 #pragma once
 
 #include <condition_variable>
@@ -17,7 +19,7 @@ namespace util {
 
 class ThreadPool {
  public:
-  // Creates `num_threads` workers (0 → hardware concurrency, at least 1).
+  // Creates `num_threads` workers (0 → AvailableCpus()).
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
@@ -25,6 +27,9 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
+
+  // CPUs this process may run on (its affinity mask), at least 1.
+  static std::size_t AvailableCpus();
 
   // Enqueues a task; tasks must not throw (exceptions terminate the pool's
   // worker). Use ParallelFor for checked fan-out.

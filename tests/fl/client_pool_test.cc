@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fl {
 namespace {
@@ -48,6 +49,8 @@ TEST(ClientPoolSpecTest, WorkerDefaultsFollowHardware) {
   EXPECT_EQ(ResolvePoolWorkers(3), 3);
   const int resolved = ResolvePoolWorkers(0);
   EXPECT_GE(resolved, 1);
+  EXPECT_EQ(static_cast<std::size_t>(resolved),
+            util::ThreadPool::AvailableCpus());
 }
 
 TEST(VirtualClientEngineTest, DrainWaitsForQueuedAndInFlightTasks) {

@@ -170,5 +170,69 @@ TEST(EvaluateAccuracyTest, IndependentOfBatchSize) {
   }
 }
 
+// Batches shared out over replicas on a pool must give exactly the serial
+// single-model result: correct-counts are integers, and no sample's logits
+// depend on which replica or batch computed them. Both test-set sizes
+// leave a ragged last batch; 77 samples give fewer batches than some
+// worker counts have replicas.
+TEST(EvaluateAccuracyTest, ParallelReplicasMatchSerial) {
+  struct Case {
+    data::Profile profile;
+    std::size_t side;
+  };
+  for (const Case& c : {Case{data::Profile::kFashionMnist, 12},
+                        Case{data::Profile::kCifar10, 8}}) {
+    data::SyntheticGenerator gen(data::MakeProfileSpec(c.profile, c.side), 7);
+    const data::Dataset train = gen.Generate(96, "train");
+    const nn::ModelSpec spec = ModelForProfile(c.profile, c.side);
+    std::vector<std::size_t> partition(train.size());
+    std::iota(partition.begin(), partition.end(), 0u);
+    Client client(0, &train, partition, spec, 1);
+    std::vector<float> params = spec.factory(1)->GetFlatParams();
+    LocalTrainConfig config;
+    config.epochs = 1;
+    auto rng = util::RngFactory(3).Stream("train");
+    const std::vector<float> delta = client.TrainOnce(params, config, rng);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      params[i] += delta[i];
+    }
+
+    for (std::size_t samples : {1000u, 77u}) {
+      const data::Dataset test = gen.Generate(samples, "test");
+      auto serial_model = spec.factory(1);
+      const double serial = EvaluateAccuracy(spec, *serial_model, params, test);
+      EXPECT_GT(serial, 0.0);
+      for (std::size_t workers = 1; workers <= 5; ++workers) {
+        util::ThreadPool pool(workers);
+        std::vector<std::unique_ptr<nn::Sequential>> models;
+        std::vector<nn::Sequential*> replicas;
+        for (std::size_t w = 0; w < workers; ++w) {
+          models.push_back(spec.factory(1));
+          replicas.push_back(models.back().get());
+        }
+        EXPECT_EQ(EvaluateAccuracy(spec, replicas, params, test, &pool),
+                  serial)
+            << spec.name << " samples " << samples << " workers " << workers;
+        // A second call reuses the replicas' warm arenas.
+        EXPECT_EQ(EvaluateAccuracy(spec, replicas, params, test, &pool, 7),
+                  serial)
+            << spec.name << " samples " << samples << " workers " << workers
+            << " batch 7";
+      }
+    }
+  }
+}
+
+TEST(EvaluateAccuracyTest, ZeroBatchSizeThrows) {
+  data::SyntheticGenerator gen(
+      data::MakeProfileSpec(data::Profile::kFashionMnist, 12), 7);
+  const data::Dataset test = gen.Generate(10, "test");
+  const nn::ModelSpec spec = ModelForProfile(data::Profile::kFashionMnist, 12);
+  auto model = spec.factory(1);
+  const std::vector<float> params = model->GetFlatParams();
+  EXPECT_THROW(EvaluateAccuracy(spec, *model, params, test, 0),
+               util::CheckError);
+}
+
 }  // namespace
 }  // namespace fl

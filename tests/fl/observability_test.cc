@@ -14,6 +14,7 @@
 #include "obs/audit.h"
 #include "obs/export.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace fl {
 namespace {
@@ -160,6 +161,39 @@ TEST_F(ObservabilityTest, ExporterOnLeavesResultsBitIdentical) {
   EXPECT_EQ(on.final_model, off.final_model);  // bit-exact
   EXPECT_EQ(on.final_accuracy, off.final_accuracy);
   EXPECT_EQ(on.rounds.size(), off.rounds.size());
+}
+
+// Phase histograms are always on: one eval.us and one round.wall_us
+// sample per round with eval_every = 1, and one train.job_us sample per
+// in-process job (every job enters transport.updates too).
+TEST_F(ObservabilityTest, PhaseHistogramsRecordEveryRoundAndJob) {
+  ExperimentConfig config = TinyConfig(73);
+  config.attack = attacks::AttackKind::kGd;
+  config.defense = DefenseKind::kAsyncFilter;
+  config.sim.rounds = 3;
+  config.sim.eval_every = 1;
+
+  obs::MetricsRegistry& registry = obs::DefaultRegistry();
+  const obs::Labels labels{{"defense", "AsyncFilter"}};
+  obs::Histogram& eval_us = registry.GetHistogram("eval.us", labels);
+  obs::Histogram& round_us = registry.GetHistogram("round.wall_us", labels);
+  obs::Histogram& job_us = registry.GetHistogram("train.job_us");
+  obs::Counter& updates = registry.GetCounter("transport.updates");
+  const std::uint64_t eval0 = eval_us.Count();
+  const std::uint64_t round0 = round_us.Count();
+  const std::uint64_t job0 = job_us.Count();
+  const std::uint64_t updates0 = updates.Value();
+  const double eval_sum0 = eval_us.Sum();
+  const double round_sum0 = round_us.Sum();
+
+  const SimulationResult result = RunExperiment(config);
+  ASSERT_EQ(result.rounds.size(), 3u);
+  EXPECT_EQ(eval_us.Count() - eval0, 3u);
+  EXPECT_EQ(round_us.Count() - round0, 3u);
+  EXPECT_GT(job_us.Count() - job0, 0u);
+  EXPECT_EQ(job_us.Count() - job0, updates.Value() - updates0);
+  // Each evaluation happens inside its round.
+  EXPECT_GE(round_us.Sum() - round_sum0, eval_us.Sum() - eval_sum0);
 }
 
 TEST(TraceContextTest, TraceIdsAreDeterministicNonZeroAndDistinct) {

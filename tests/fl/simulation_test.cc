@@ -7,6 +7,7 @@
 #include "data/partition.h"
 #include "attacks/registry.h"
 #include "data/synthetic.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace fl {
@@ -256,6 +257,16 @@ TEST_F(SimulationTest, SpecConstructorRuns) {
   Simulation sim(std::move(spec));
   SimulationResult result = sim.Run();
   EXPECT_EQ(result.rounds.size(), 2u);
+}
+
+// eval_every is a divisor of the round counter: zero is refused at
+// construction, not left to fault at the first aggregation.
+TEST_F(SimulationTest, ZeroEvalEveryIsRejected) {
+  Parts& parts = MakeParts(12, 16);
+  SimulationConfig config = SmallConfig(16);
+  config.eval_every = 0;
+  util::ThreadPool pool(2);
+  EXPECT_THROW(BuildSim(parts, config, &pool), util::CheckError);
 }
 
 }  // namespace

@@ -157,7 +157,7 @@ TEST(ObservabilitySmokeTest, TwoRoundRunEmitsSpansAndMetricsWithoutDrift) {
     names.insert(event.name);
   }
   for (const char* expected :
-       {"sim.run", "train.wave", "client.train", "defense.process",
+       {"sim.run", "train.batch", "client.train", "defense.process",
         "filter.process", "filter.score", "filter.cluster", "kmeans.run",
         "kmeans.iter", "eval.accuracy", "threadpool.task"}) {
     EXPECT_TRUE(names.count(expected) == 1) << "missing span: " << expected;

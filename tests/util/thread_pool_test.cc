@@ -13,6 +13,8 @@ namespace {
 TEST(ThreadPoolTest, DefaultSizeIsAtLeastOne) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
+  // The default is one worker per CPU the process may run on.
+  EXPECT_EQ(pool.size(), ThreadPool::AvailableCpus());
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {
